@@ -33,22 +33,31 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestTableGoldens locks the stable table renderings over the corpus: the
-// program characteristics (Table 1) and the convergence measurements
-// (Table 3). Both are deterministic functions of the corpus sources and the
-// analysis; the timing figure (fig10) is excluded.
+// program characteristics (Table 1), the per-access location-set counts
+// (Tables 2 and 4, Figures 8 and 9) and the convergence measurements
+// (Table 3). All are deterministic functions of the corpus sources and
+// the analysis; the timing figure (fig10) is excluded.
 func TestTableGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus table rendering is slow in -short mode")
 	}
-	for _, table := range []string{"1", "3"} {
+	goldens := []struct{ table, file string }{
+		{"1", "table1.golden"},
+		{"2", "table2.golden"},
+		{"3", "table3.golden"},
+		{"4", "table4.golden"},
+		{"fig8", "fig8.golden"},
+		{"fig9", "fig9.golden"},
+	}
+	for _, g := range goldens {
 		// Render at 1 and 4 fixpoint workers: both must match the same
 		// golden byte-for-byte (the parallel engine's core invariant).
 		for _, workers := range []int{1, 4} {
 			var out, errOut bytes.Buffer
-			if err := run(context.Background(), &out, &errOut, table, 1, 0, workers); err != nil {
-				t.Fatalf("table %s (workers=%d): %v", table, workers, err)
+			if err := run(context.Background(), &out, &errOut, g.table, 1, 0, workers); err != nil {
+				t.Fatalf("table %s (workers=%d): %v", g.table, workers, err)
 			}
-			checkGolden(t, "table"+table+".golden", out.Bytes())
+			checkGolden(t, g.file, out.Bytes())
 		}
 	}
 }

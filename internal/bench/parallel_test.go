@@ -111,7 +111,19 @@ func TestGoldenCorpus(t *testing.T) {
 			if got != want {
 				t.Errorf("%s %v: got %+v, want %+v", r.Name, mode, got, want)
 			}
+			checkOneSolvePerRound(t, r, mode)
 		}
+	}
+}
+
+// checkOneSolvePerRound pins that the measurements come from the fixed
+// point's final round rather than from an extra pass: with the context
+// cache on, each context is analysed at most once per round.
+func checkOneSolvePerRound(t *testing.T, r CorpusResult, mode mtpa.Mode) {
+	t.Helper()
+	if bound := r.Res.Rounds * r.Res.ContextsTotal(); r.Res.ProcAnalyses > bound {
+		t.Errorf("%s %v: %d procedure analyses > %d rounds × %d contexts",
+			r.Name, mode, r.Res.ProcAnalyses, r.Res.Rounds, r.Res.ContextsTotal())
 	}
 }
 

@@ -107,6 +107,7 @@ func TestGoldenSeqCorpus(t *testing.T) {
 			if got := mkRow(r); got != want {
 				t.Errorf("%s %v: got %+v, want %+v", r.Name, mode, got, want)
 			}
+			checkOneSolvePerRound(t, r, mode)
 		}
 	}
 }

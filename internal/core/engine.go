@@ -110,9 +110,10 @@ type Options struct {
 	MaxContexts int
 
 	// RecordPoints derives the ⟨C,I,E⟩ triple at every program point from
-	// the solver facts of the metrics pass, for inspection, golden tests
-	// and the differential soundness checks (memory-proportional to
-	// program points × contexts).
+	// the solver facts of the fixed point's final round, for inspection,
+	// golden tests and the differential soundness checks
+	// (memory-proportional to program points × contexts). Summary seeding
+	// is off under RecordPoints: every point must come from a real solve.
 	RecordPoints bool
 
 	// Budget bounds the resources one run may consume. Exceeding a budget
@@ -245,12 +246,10 @@ type ctxEntry struct {
 	// metric of Table 4 and for ghost merging in deeper calls.
 	ghostSrc map[*locset.Block][]*locset.Block
 
-	result      *callResult
-	inProgress  bool
-	doneRound   int
-	metricsDone bool
-	provisional bool // result was computed using an in-progress callee
-	degraded    bool // a budget excess degraded this context (recorded once)
+	result     *callResult
+	inProgress bool
+	doneRound  int  // last round that solved, committed or seeded this context
+	degraded   bool // a budget excess degraded this context (recorded once)
 
 	// memo is this context's shard of the call-site transfer memo
 	// (memo.go): every memoKey names the calling context, so each entry
@@ -267,13 +266,13 @@ type ctxEntry struct {
 	// Summary-seeding state (seed.go), populated only when a Seeder is
 	// attached: the canonical context key, the resolved summary standing in
 	// for this context's solves, and the per-context warning and
-	// callee-context records the harvest exports.
-	canonKey   string
-	seeded     *seedState
-	warned     map[*ir.Instr]bool
-	warnRecs   []ctxWarn
-	callees    []*ctxEntry
-	calleeSeen map[*ctxEntry]bool
+	// callee-context records the harvest exports (the callee edges are
+	// those of the context's latest solve).
+	canonKey string
+	seeded   *seedState
+	warned   map[*ir.Instr]bool
+	warnRecs []ctxWarn
+	callees  map[*ctxEntry]bool
 }
 
 // Analysis is a single analysis run over one program.
@@ -287,10 +286,10 @@ type Analysis struct {
 	ctxList []*ctxEntry
 
 	// memoHits and memoMisses count the call-site memo probes across all
-	// rounds and the metrics pass; the memo entries themselves live
-	// sharded on their calling context (ctxEntry.memo). Both counters are
-	// only ever bumped by the sequential sweep (speculations buffer them),
-	// so they need no synchronization.
+	// rounds; the memo entries themselves live sharded on their calling
+	// context (ctxEntry.memo). Both counters are only ever bumped by the
+	// sequential sweep (speculations buffer them), so they need no
+	// synchronization.
 	memoHits   int
 	memoMisses int
 
@@ -301,10 +300,9 @@ type Analysis struct {
 	rootBlocks []*locset.Block
 	rootsOnce  sync.Once
 
-	round     int
-	changed   bool
-	metricsOn bool
-	metrics   *Metrics
+	round   int
+	changed bool
+	metrics *Metrics
 
 	// seqFast marks the interference-free fast-path mode: the program has
 	// no reachable par/parfor (ir.Program.ParReachable), so every fact's I
@@ -347,11 +345,11 @@ type Analysis struct {
 	hasDetached bool
 
 	// Summary seeding (seed.go). seeder is nil on plain Analyze runs; cn is
-	// the lazily built canonical encoder; seedByKey indexes seeded and
-	// harvested contexts by canonical key for the metrics-pass demand walk.
+	// the lazily built canonical encoder; byKey indexes every context with
+	// a canonical key, for the stored-callee walk of seeded contexts.
 	seeder       Seeder
 	cn           *canonizer
-	seedByKey    map[string]*ctxEntry
+	byKey        map[string]*ctxEntry
 	seedHits     int
 	seedMisses   int
 	seedHitsByFn map[string]int
@@ -383,7 +381,9 @@ type Result struct {
 	MainOut *Triple
 
 	// ProcAnalyses counts how many times a procedure body was analysed
-	// (cache hits excluded) across all rounds and the metrics pass.
+	// across all rounds (cache hits and seeded contexts excluded). With
+	// the context cache on, each context is analysed at most once per
+	// round, so ProcAnalyses ≤ Rounds × ContextsTotal().
 	ProcAnalyses int
 
 	// Degraded lists every procedure context whose analysis exceeded a
@@ -414,9 +414,9 @@ func (r *Result) Freeze() *Result {
 	return r
 }
 
-// Analyze runs the analysis to a fixed point and then performs one metrics
-// pass that records per-context solver facts, from which the precision
-// measurements are derived.
+// Analyze runs the analysis to a fixed point. Every round records
+// per-context solver facts; the precision measurements are derived from
+// those of the final round, the one that changed nothing.
 func Analyze(prog *ir.Program, opts Options) (*Result, error) {
 	return AnalyzeContext(context.Background(), prog, opts)
 }
@@ -490,6 +490,7 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder,
 	a.polling = ctx.Done() != nil || opts.Budget != (Budget{})
 
 	rounds := 0
+	var out *Triple
 	for {
 		rounds++
 		if rounds > a.opts.maxRounds() {
@@ -500,28 +501,21 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder,
 		}
 		a.round = rounds
 		a.changed = false
+		// The final round solves every context it demands against the
+		// fixed point, so its facts and samples are the measurements. Each
+		// round starts them afresh: a context demanded only in an earlier
+		// round must leave nothing behind.
+		a.metrics.resetRound()
 		if err := a.speculateContexts(); err != nil {
 			return nil, err
 		}
-		if _, err := a.analyzeRoot(); err != nil {
+		var err error
+		if out, err = a.analyzeRoot(); err != nil {
 			return nil, err
 		}
 		if !a.changed {
 			break
 		}
-	}
-
-	// Metrics pass: every context is re-analysed exactly once at the fixed
-	// point with a fact recorder attached; the per-access and per-point
-	// measurements are then derived from the recorded facts.
-	a.metricsOn = true
-	a.round = rounds + 1
-	if err := a.speculateContexts(); err != nil {
-		return nil, err
-	}
-	out, err := a.analyzeRoot()
-	if err != nil {
-		return nil, err
 	}
 	if err := a.deriveMetrics(); err != nil {
 		return nil, err
@@ -746,11 +740,7 @@ func (x *exec) analyzeContext(e *ctxEntry) error {
 	if e.inProgress {
 		return nil
 	}
-	if a.metricsOn {
-		if e.metricsDone {
-			return nil
-		}
-	} else if e.doneRound == a.round && !a.opts.DisableContextCache {
+	if e.doneRound == a.round && !a.opts.DisableContextCache {
 		// Context cache hit: reuse the multithreaded partial transfer
 		// function computed earlier this round. With the cache disabled
 		// (ablation), the procedure is re-analysed at every call site.
@@ -760,8 +750,8 @@ func (x *exec) analyzeContext(e *ctxEntry) error {
 		x.abort()
 	}
 	if e.seeded != nil {
-		// The retained fixed-point result stands in for the solve; see
-		// applySeed (seed.go) for the rounds/metrics split.
+		// The retained fixed-point result stands in for the solve, unless
+		// a stored callee key no longer resolves (applySeed, seed.go).
 		if done, err := x.applySeed(e); done {
 			return err
 		}
@@ -772,20 +762,14 @@ func (x *exec) analyzeContext(e *ctxEntry) error {
 		// versions validate — then this demand is O(deps) instead of a
 		// solve — and fall through to the ordinary solve otherwise.
 		e.pending = nil
-		if p.round == a.round && p.metrics == a.metricsOn {
-			ok, err := x.commitPending(e, p)
-			if err != nil || ok {
-				return err
-			}
+		if ok, err := x.commitPending(e, p); err != nil || ok {
+			return err
 		}
 	}
 	e.inProgress = true
 	defer func() { e.inProgress = false }()
-	if a.metricsOn {
-		e.metricsDone = true
-	} else {
-		e.doneRound = a.round
-	}
+	e.doneRound = a.round
+	e.callees = nil // a summary exports the edges of the final round's solve
 	a.procAnalyses++
 
 	if a.opts.Budget.MaxSolverSteps > 0 {

@@ -9,12 +9,14 @@
 // no-op: the entry must have been populated in the current round (a
 // round restart invalidates every entry of the previous round), the
 // callee context must be one analyzeContext would not re-solve right
-// now, and the callee's result version must not have moved since the
-// entry was stored (an in-progress recursive context can grow its
-// result mid-round). Under those conditions the memoised output is
+// now (in progress, or solved, committed or seeded this round), and the
+// callee's result version must not have moved since the entry was
+// stored (an in-progress recursive context can grow its result
+// mid-round). Under those conditions the memoised output is
 // content-identical to what the full path would rebuild, so counters,
-// contexts, rounds and warnings are unaffected — the golden corpus is
-// bit-identical with the memo on or off.
+// contexts, rounds, warnings and the final round's measurements are
+// unaffected — the golden corpus is bit-identical with the memo on or
+// off.
 //
 // The memo is sharded onto the calling context (ctxEntry.memo): every
 // key names its caller, so each entry belongs to exactly one shard,
@@ -89,29 +91,17 @@ func (a *Analysis) memoEnabled() bool {
 	return !a.opts.DisableCallMemo && !a.opts.DisableContextCache
 }
 
-// memoCalleeFresh reports whether analyzeContext(e) would be a no-op
-// right now — the precondition for a memo hit to skip it.
-func (a *Analysis) memoCalleeFresh(e *ctxEntry) bool {
-	if e.inProgress {
-		return true
-	}
-	if a.metricsOn {
-		return e.metricsDone
-	}
-	return e.doneRound == a.round
-}
-
-// calleeFresh is memoCalleeFresh through the executor: a task
-// speculation (phase.go) consumes frozen results, so for it every
-// callee is fresh by assumption — the consumption is recorded as a
-// version dependency and validated at commit, exactly like a direct
-// analyzeContext consumption.
+// calleeFresh reports whether analyzeContext(e) would be a no-op right
+// now — the precondition for a memo hit to skip it. A task speculation
+// (phase.go) consumes frozen results, so for it every callee is fresh by
+// assumption — the consumption is recorded as a version dependency and
+// validated at commit, exactly like a direct analyzeContext consumption.
 func (x *exec) calleeFresh(e *ctxEntry) bool {
 	if s := x.spec; s != nil && s.phase {
 		s.logDep(e)
 		return true
 	}
-	return x.a.memoCalleeFresh(e)
+	return e.inProgress || e.doneRound == x.a.round
 }
 
 // probeCallMemo looks the call up in the memo. On a hit it returns the
@@ -149,8 +139,8 @@ func (x *exec) scanMemoBucket(bucket []*memoEntry, k memoKey, t *Triple) (*Tripl
 			continue
 		}
 		x.countMemo(true)
-		// A hit skips getContext, so the metrics-pass callee-context edge
-		// (harvested into session summaries) is recorded here instead.
+		// A hit skips getContext, so the callee-context edge (harvested
+		// into session summaries) is recorded here instead.
 		x.recordCallee(k.ctx, e.callee)
 		return &Triple{C: e.outC.CloneShared(), I: t.I, E: e.outE.CloneShared()}, true
 	}

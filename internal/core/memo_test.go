@@ -9,8 +9,7 @@ import (
 // memoSrc revisits calls with unchanged ⟨C, I⟩ inputs: the par fixed
 // point needs a confirming iteration that re-solves both threads — and
 // re-executes their calls — with exactly the inputs of the previous
-// iteration, and the metrics pass replays main's body against the final
-// round's facts. Both revisits should be served from the call-site memo.
+// iteration. Those revisits should be served from the call-site memo.
 const memoSrc = `
 int x, y;
 int *p;

@@ -1,15 +1,17 @@
 // Measurement collection for the paper's evaluation (§4): per-access
 // location-set counts in every analysis context (Tables 2 and 4, Figures 8
-// and 9) and parallel-construct convergence data (Table 3). During the
-// metrics pass — which re-analyses every context once at the fixed point —
-// a dataflow.Recorder snapshots the solver's per-vertex facts; the
-// measurements are then *derived* from those facts: the deref set of every
-// measured access is recomputed from the fact before its vertex, and with
-// Options.RecordPoints the full ⟨C,I,E⟩ triple at every program point is
-// reconstructed by replaying the vertex's instructions from the fact.
-// Because facts overwrite per (context, vertex) exactly like the old
-// transfer-time sampling did, the derived measurements are bit-identical
-// to measurements taken during the solve.
+// and 9) and parallel-construct convergence data (Table 3). Every solve in
+// a context attaches a dataflow.Recorder that snapshots the solver's
+// per-vertex facts, and every par construct records its convergence. The
+// store is reset at the start of each round, so what survives is the
+// final round's: the round that changed nothing, whose solves all ran
+// against the fixed point. The measurements are then *derived* from those
+// facts: the deref set of every measured access is recomputed from the
+// fact before its vertex, and with Options.RecordPoints the full ⟨C,I,E⟩
+// triple at every program point is reconstructed by replaying the
+// vertex's instructions from the fact. Because facts overwrite per
+// (context, vertex) exactly like transfer-time sampling would, the derived
+// measurements are bit-identical to measurements taken during the solve.
 
 package core
 
@@ -94,22 +96,22 @@ type Metrics struct {
 	par    map[parKey]*ParSample
 	points map[PointKey]*Triple
 
-	// facts holds the per-vertex solver snapshots of the metrics pass;
-	// they are consumed by deriveMetrics and dropped afterwards.
+	// facts holds the per-vertex solver snapshots of the current round;
+	// the final round's are consumed by deriveMetrics and dropped
+	// afterwards.
 	facts map[FactKey]*Triple
 
 	// NumContexts is the total number of analysis contexts generated.
 	NumContexts int
 
 	// CallMemoHits and CallMemoMisses count the call-site transfer memo
-	// probes (memo.go) across all rounds and the metrics pass. The split
-	// between them can vary with the speculation schedule (a speculative
-	// solve probes the memo state of its iteration start), but the
-	// analysis results never do.
+	// probes (memo.go) across all rounds. The split between them can vary
+	// with the speculation schedule (a speculative solve probes the memo
+	// state of its iteration start), but the analysis results never do.
 	CallMemoHits   int
 	CallMemoMisses int
 
-	// SolverSteps counts worklist chain transfers across the run. It is
+	// SolverSteps counts worklist chain transfers across all rounds. It is
 	// tracked only when a context or budget is attached (the default path
 	// runs poll-free) and, like the memo split, may vary with the
 	// speculation schedule.
@@ -120,12 +122,17 @@ type Metrics struct {
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{
-		access: map[accKey]*AccessSample{},
-		par:    map[parKey]*ParSample{},
-		points: map[PointKey]*Triple{},
-		facts:  map[FactKey]*Triple{},
-	}
+	m := &Metrics{points: map[PointKey]*Triple{}}
+	m.resetRound()
+	return m
+}
+
+// resetRound drops the facts and samples recorded so far; the analysis
+// calls it at the start of every round.
+func (m *Metrics) resetRound() {
+	m.access = map[accKey]*AccessSample{}
+	m.par = map[parKey]*ParSample{}
+	m.facts = map[FactKey]*Triple{}
 }
 
 // PointAt returns the recorded triple at a program point, or nil. The
@@ -170,7 +177,7 @@ func (m *Metrics) ParSamples() []*ParSample {
 }
 
 // ---------------------------------------------------------------------------
-// Fact recording (metrics pass only)
+// Fact recording
 
 // factRecorder snapshots solver facts into the metrics fact store. It
 // records the triple before every vertex that needs one — vertices with
@@ -232,15 +239,17 @@ func (x *exec) putFact(k FactKey, t *Triple) {
 // recordParAnalysis stores the convergence measurement for one parallel
 // construct analysis in the current context (buffered under speculation).
 func (x *exec) recordParAnalysis(ctx *ctxEntry, n *ir.Node, iterations, threads int) {
-	if !x.a.metricsOn {
-		return
-	}
 	if x.spec != nil {
 		x.spec.buf.pars = append(x.spec.buf.pars, parRec{node: n, ctx: ctx.id, iterations: iterations, threads: threads})
 		return
 	}
-	x.a.metrics.par[parKey{node: n, ctx: ctx.id}] = &ParSample{
-		NodeID: n.ID, FnName: n.Fn.Name, CtxID: ctx.id,
+	x.a.metrics.putPar(n, ctx.id, iterations, threads)
+}
+
+// putPar stores the convergence measurement of one par construct analysis.
+func (m *Metrics) putPar(n *ir.Node, ctx, iterations, threads int) {
+	m.par[parKey{node: n, ctx: ctx}] = &ParSample{
+		NodeID: n.ID, FnName: n.Fn.Name, CtxID: ctx,
 		Iterations: iterations, Threads: threads,
 	}
 }
@@ -255,10 +264,7 @@ func (x *exec) replaySpec(buf *specBuf) {
 		x.a.metrics.facts[f.key] = f.fact
 	}
 	for _, p := range buf.pars {
-		x.a.metrics.par[parKey{node: p.node, ctx: p.ctx}] = &ParSample{
-			NodeID: p.node.ID, FnName: p.node.Fn.Name, CtxID: p.ctx,
-			Iterations: p.iterations, Threads: p.threads,
-		}
+		x.a.metrics.putPar(p.node, p.ctx, p.iterations, p.threads)
 	}
 	for _, m := range buf.memos {
 		x.a.installMemo(m.key, m.entry)

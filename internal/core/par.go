@@ -82,8 +82,7 @@ func (x *exec) transferPar(region *pfg.ParRegion, t *Triple, ctx *ctxEntry) (*Tr
 	// sequentially (they already hold a concurrency slot), and with the
 	// context cache disabled every call forces real work, which a
 	// speculation may never perform.
-	speculate := x.spec == nil && k >= 2 && a.opts.parWorkers() > 1 &&
-		(a.metricsOn || !a.opts.DisableContextCache)
+	speculate := x.spec == nil && k >= 2 && a.opts.parWorkers() > 1 && !a.opts.DisableContextCache
 
 	iters := 0
 	for {

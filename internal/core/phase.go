@@ -3,16 +3,16 @@
 // one par construct to the ⟨procedure, context⟩ tasks of the whole
 // fixed point.
 //
-// Before each round's canonical sequential sweep (and before the
-// metrics pass), every known context is solved speculatively against
-// the *frozen round-start state* on a work-stealing pool
-// (internal/sched, bounded by Options.FixpointWorkers). The tasks are
-// independent by construction: a speculative executor may not mutate
-// any shared state — it probes the location-set table, the context
-// cache and the (per-context, read-only during the phase) call-site
-// memo, buffers its metric records, and, where the sequential solve
-// would recursively analyze a callee, it instead consumes the callee's
-// round-start result and logs a dependency record ⟨callee, version⟩.
+// Before each round's canonical sequential sweep, every known context
+// is solved speculatively against the *frozen round-start state* on a
+// work-stealing pool (internal/sched, bounded by
+// Options.FixpointWorkers). The tasks are independent by construction:
+// a speculative executor may not mutate any shared state — it probes
+// the location-set table, the context cache and the (per-context,
+// read-only during the phase) call-site memo, buffers its fact and
+// sample records, and, where the sequential solve would recursively
+// analyze a callee, it instead consumes the callee's round-start result
+// and logs a dependency record ⟨callee, version⟩.
 // Anything it cannot do without mutating — interning a location set,
 // creating a context, emitting a globally new warning — aborts the
 // task (panic(specAbort{})), exactly as in par.go.
@@ -36,11 +36,11 @@
 // the FixpointWorkers=1 run; only wall-clock time and the (explicitly
 // schedule-varying) memo hit/miss split and SolverSteps change.
 //
-// The phase pays off most in the fixed point's confirmation round and
-// in the metrics pass, where no result grows: every dependency
-// validates, the sweep degenerates to O(deps) commits, and those two
-// sweeps — typically the majority of all solver work — run at the
-// pool's parallelism.
+// The phase pays off most in the fixed point's final round, the
+// confirmation round whose facts are also the measurements: no result
+// grows, every dependency validates, the sweep degenerates to O(deps)
+// commits, and that sweep — half of all solver work in the common
+// two-round run — runs at the pool's parallelism.
 //
 // The phase is skipped (yielding the exact sequential engine) when the
 // resolved worker count is < 2, when the context cache is disabled
@@ -66,20 +66,18 @@ type depRec struct {
 }
 
 // pendingTask is a completed task speculation awaiting the canonical
-// sweep's commit-or-discard decision.
+// sweep's commit-or-discard decision. It belongs to the round whose phase
+// produced it: the next phase discards every pending.
 type pendingTask struct {
-	round   int  // a.round the speculation ran in
-	metrics bool // a.metricsOn when it ran
-	out     *Triple
-	buf     *specBuf
-	deps    []depRec
+	out  *Triple
+	buf  *specBuf
+	deps []depRec
 }
 
 // speculateContexts runs the parallel pre-solve phase for the current
-// round (or for the metrics pass): it snapshots the known contexts,
-// solves each speculatively on the pool, and attaches the surviving
-// speculations as pendings for the sweep to commit. It mutates no other
-// engine state.
+// round: it snapshots the known contexts, solves each speculatively on
+// the pool, and attaches the surviving speculations as pendings for the
+// sweep to commit. It mutates no other engine state.
 func (a *Analysis) speculateContexts() error {
 	workers := a.opts.fixpointWorkers()
 	if workers < 2 || a.opts.DisableContextCache || a.opts.Budget != (Budget{}) {
@@ -154,13 +152,7 @@ func (a *Analysis) speculateOne(e *ctxEntry, in *Triple) (p *pendingTask) {
 		// phase); the coordinator reports it after the join.
 		return nil
 	}
-	return &pendingTask{
-		round:   a.round,
-		metrics: a.metricsOn,
-		out:     out,
-		buf:     &sx.spec.buf,
-		deps:    sx.spec.deps,
-	}
+	return &pendingTask{out: out, buf: &sx.spec.buf, deps: sx.spec.deps}
 }
 
 // commitPending validates and commits one pending speculation at its
@@ -194,11 +186,8 @@ func (x *exec) commitPending(e *ctxEntry, p *pendingTask) (bool, error) {
 	if !valid {
 		return false, nil
 	}
-	if a.metricsOn {
-		e.metricsDone = true
-	} else {
-		e.doneRound = a.round
-	}
+	e.doneRound = a.round
+	e.callees = nil
 	a.procAnalyses++
 	x.replaySpec(p.buf)
 	grew := e.result.C.Union(p.out.C)

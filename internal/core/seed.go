@@ -1,21 +1,24 @@
 // Summary seeding: the incremental session (internal/session) retains,
 // per procedure context, the fixed-point ⟨C,I⟩→⟨C,E⟩ transfer together
-// with the per-context measurements, warnings and callee-context edges,
-// all in the canonical table-independent encoding of canon.go. A later
-// run over an equivalent procedure closure resolves the summary into its
-// own fresh table and installs the result without solving anything: the
-// context returns in O(1) during the fixed-point rounds, and the metrics
-// pass re-injects the stored measurements and walks the stored callee
-// keys so the demand closure of the metrics pass is reproduced exactly.
+// with the measurements, warnings and callee-context edges of the
+// context's final-round solve, all in the canonical table-independent
+// encoding of canon.go. A later run over an equivalent procedure closure
+// resolves the summary into its own fresh table and installs the result
+// without solving anything: in every round the seeded context returns its
+// retained result, re-injects the stored measurements and demands the
+// stored callee keys, so the final round's demand closure — and with it
+// every measurement — is reproduced exactly.
 //
 // Soundness of the warm result (the warm ≡ cold argument, detailed in
 // DESIGN.md): the session seeds a context only when the procedure's whole
 // transitive callee closure is textually unchanged, and a context's
 // fixed-point result is a function of its inputs ⟨C_p, I_p, ghosts⟩ and
 // that closure alone. Re-solving a seeded context therefore could not
-// change its result, so skipping the solve is exact — and any summary
-// whose keys no longer resolve in the current program misses instead of
-// mis-resolving.
+// change its result, so skipping the solve is exact. A summary whose keys
+// no longer resolve in the current program misses instead of
+// mis-resolving: a context whose own key misses is solved from scratch,
+// and a seeded context with a stored callee key that misses (its summary
+// was evicted or invalidated) drops its seed and is solved for real.
 
 package core
 
@@ -24,6 +27,7 @@ import (
 	"sort"
 
 	"mtpa/internal/ir"
+	"mtpa/internal/locset"
 	"mtpa/internal/ptgraph"
 )
 
@@ -35,25 +39,24 @@ type Summary struct {
 	Key string // canonical context key (canonizer.ctxKey)
 
 	// The context inputs, re-resolvable into a fresh table (used to
-	// materialise contexts demanded by a seeded caller's metrics walk).
+	// materialise contexts demanded by a seeded caller).
 	Cp, Ip []CanonEdge
 	Ghosts []CanonGhost
 
 	// The fixed-point result: the output graph C′ and created edges E′.
 	C, E []CanonEdge
 
-	// Warnings this context's solves emitted (across all rounds and the
-	// metrics pass), replayed on seeding so the warm warning set matches
-	// the cold one.
+	// Warnings this context's solves emitted (across all rounds),
+	// replayed on seeding so the warm warning set matches the cold one.
 	Warnings []SummaryWarning
 
-	// Per-context measurements of the metrics pass.
+	// Per-context measurements of the final round.
 	Accesses []SummaryAccess
 	Pars     []SummaryPar
 
-	// Callees lists the canonical context keys this context demanded
-	// during the metrics pass; a seeded context demands them again so the
-	// measurement closure is complete even when nothing is solved.
+	// Callees lists the canonical context keys this context demanded in
+	// the final round; a seeded context demands them again in every round
+	// so the demand closure is complete even when nothing is solved.
 	Callees []string
 }
 
@@ -92,8 +95,8 @@ type Seeder interface {
 type SeedStats struct {
 	Hits   int
 	Misses int
-	// HitsByFunc counts seeded contexts per procedure (nil when no
-	// context was seeded).
+	// HitsByFunc counts seeded contexts per procedure (empty or nil when
+	// no context stayed seeded).
 	HitsByFunc map[string]int
 }
 
@@ -167,13 +170,14 @@ func (a *Analysis) canon() *canonizer {
 }
 
 // trySeed probes the seeder for a freshly created context. It always
-// computes and stores the canonical context key (the harvest needs it),
-// and on a hit resolves the whole summary all-or-nothing: result graphs,
-// measurements, par nodes and warning instructions. Any resolution
-// failure is a miss — the context is then solved from scratch, which is
-// always correct.
+// computes and indexes the canonical context key (the harvest and the
+// stored-callee walk need it), and on a hit resolves the whole summary
+// all-or-nothing: result graphs, measurements, par nodes and warning
+// instructions. Any resolution failure is a miss — the context is then
+// solved from scratch, which is always correct. With RecordPoints no
+// context is seeded: every program point must come from a real solve.
 func (a *Analysis) trySeed(e *ctxEntry) {
-	if a.seeder == nil || a.opts.DisableContextCache {
+	if a.seeder == nil || a.opts.DisableContextCache || a.opts.RecordPoints {
 		return
 	}
 	cn := a.canon()
@@ -182,6 +186,10 @@ func (a *Analysis) trySeed(e *ctxEntry) {
 		return
 	}
 	e.canonKey = key
+	if a.byKey == nil {
+		a.byKey = map[string]*ctxEntry{}
+	}
+	a.byKey[key] = e
 	sum := a.seeder.Lookup(e.fn.Name, key)
 	if sum == nil {
 		a.seedMisses++
@@ -207,10 +215,6 @@ func (a *Analysis) trySeed(e *ctxEntry) {
 		a.seedHitsByFn = map[string]int{}
 	}
 	a.seedHitsByFn[e.fn.Name]++
-	if a.seedByKey == nil {
-		a.seedByKey = map[string]*ctxEntry{}
-	}
-	a.seedByKey[key] = e
 
 	// Replay the context's warnings: record them per-context (the harvest
 	// of this run re-emits them) and emit globally new ones, preserving
@@ -258,40 +262,40 @@ func (a *Analysis) resolveSummary(sum *Summary) *seedState {
 	return st
 }
 
-// applySeed handles analyzeContext for a seeded entry. During the
-// fixed-point rounds the retained result simply stands in for the solve.
-// During the metrics pass the stored measurements are injected under the
-// current context id and the stored callee keys are demanded, so every
-// context the cold metrics pass would have visited is visited here too.
-// With RecordPoints the seed is ignored for the metrics pass (the
-// per-point facts must come from a real solve) and applySeed reports
-// !done to fall through.
+// applySeed handles analyzeContext for a seeded entry, in every round:
+// the retained result stands in for the solve, the stored measurements
+// are injected under the current context id, and the stored callee keys
+// are demanded, so the round visits every context the cold round would
+// have. Every callee key is resolved before any is materialised. If one
+// no longer resolves, the seed is dropped and applySeed reports !done:
+// the caller then solves the context for real in this round, exactly as
+// a cold run would.
 func (x *exec) applySeed(e *ctxEntry) (done bool, err error) {
 	a := x.a
-	if !a.metricsOn {
-		e.doneRound = a.round
-		return true, nil
+	callees := make([]seedCallee, len(e.seeded.sum.Callees))
+	for i, key := range e.seeded.sum.Callees {
+		c, ok := a.resolveCallee(key)
+		if !ok {
+			a.dropSeed(e)
+			return false, nil
+		}
+		callees[i] = c
 	}
-	if a.opts.RecordPoints {
-		return false, nil
-	}
-	e.metricsDone = true
+	e.doneRound = a.round
 	for _, s := range e.seeded.access {
 		a.metrics.access[accKey{acc: s.AccID, ctx: e.id}] = &AccessSample{AccID: s.AccID, CtxID: e.id, Locs: s.Locs}
 	}
 	for _, p := range e.seeded.pars {
-		a.metrics.par[parKey{node: p.node, ctx: e.id}] = &ParSample{
-			NodeID: p.node.ID, FnName: p.node.Fn.Name, CtxID: e.id,
-			Iterations: p.iterations, Threads: p.threads,
-		}
+		a.metrics.putPar(p.node, e.id, p.iterations, p.threads)
 	}
-	for _, key := range e.seeded.sum.Callees {
-		ce, err := x.materializeSeed(key)
-		if err != nil {
-			return true, err
-		}
+	for _, c := range callees {
+		ce := c.e
 		if ce == nil {
-			continue
+			// Interning may find the context after all: an earlier callee's
+			// solve can have created it.
+			if ce, err = x.getContext(c.fn, c.Cp, c.Ip, c.ghostSrc); err != nil {
+				return true, err
+			}
 		}
 		if err := x.analyzeContext(ce); err != nil {
 			return true, err
@@ -300,43 +304,48 @@ func (x *exec) applySeed(e *ctxEntry) (done bool, err error) {
 	return true, nil
 }
 
-// materializeSeed interns the context named by a stored canonical key,
-// resolving its inputs from the summary store. A key that is already
-// materialised returns its entry; a key the store no longer holds, or
-// whose inputs do not resolve, is skipped (nil) — its measurements came
-// from a closure the session has since invalidated, so a real solve
-// elsewhere covers it.
-func (x *exec) materializeSeed(key string) (*ctxEntry, error) {
-	a := x.a
-	if e, ok := a.seedByKey[key]; ok {
-		return e, nil
+// seedCallee is one resolved stored callee key: its existing context, or
+// the inputs to intern it from.
+type seedCallee struct {
+	e        *ctxEntry
+	fn       *ir.Func
+	Cp, Ip   *ptgraph.Graph
+	ghostSrc map[*locset.Block][]*locset.Block
+}
+
+// resolveCallee resolves one stored callee key, to the context holding
+// that key or else to the inputs its summary records. It reports false
+// when the seeder no longer holds the key or the inputs do not resolve in
+// the current table.
+func (a *Analysis) resolveCallee(key string) (seedCallee, bool) {
+	if e, ok := a.byKey[key]; ok {
+		return seedCallee{e: e}, true
 	}
 	sum := a.seeder.LookupKey(key)
 	if sum == nil {
-		return nil, nil
+		return seedCallee{}, false
 	}
 	cn := a.canon()
 	fn, ok := cn.fnByName[sum.Fn]
-	if !ok {
-		return nil, nil
-	}
 	Cp, cok := cn.resolveGraph(sum.Cp)
 	Ip, iok := cn.resolveGraph(sum.Ip)
 	ghostSrc, gok := cn.resolveGhosts(sum.Ghosts)
-	if !cok || !iok || !gok {
-		return nil, nil
+	if !ok || !cok || !iok || !gok {
+		return seedCallee{}, false
 	}
-	e, err := x.getContext(fn, Cp, Ip, ghostSrc)
-	if err != nil {
-		return nil, err
+	return seedCallee{fn: fn, Cp: Cp, Ip: Ip, ghostSrc: ghostSrc}, true
+}
+
+// dropSeed turns a seed hit into a miss: the context is solved for real
+// from now on. It keeps the retained result, which is the context's cold
+// fixed-point value, so the solve can only confirm it.
+func (a *Analysis) dropSeed(e *ctxEntry) {
+	e.seeded = nil
+	a.seedHits--
+	a.seedMisses++
+	if a.seedHitsByFn[e.fn.Name]--; a.seedHitsByFn[e.fn.Name] == 0 {
+		delete(a.seedHitsByFn, e.fn.Name)
 	}
-	if e.seeded == nil && e.result.version == 0 && !e.metricsDone && e.doneRound == 0 {
-		// getContext created a fresh entry but trySeed did not take (a
-		// resolution asymmetry); solving it cold inside the metrics pass
-		// would not reproduce the rounds fixed point, so skip it.
-		return nil, nil
-	}
-	return e, nil
 }
 
 // recordWarn stores one per-context warning occurrence (deduplicated per
@@ -352,23 +361,20 @@ func (e *ctxEntry) recordWarn(in *ir.Instr, text string) {
 	e.warnRecs = append(e.warnRecs, ctxWarn{in: in, text: text})
 }
 
-// addCallee records a metrics-pass callee-context edge (deduplicated).
+// addCallee records a callee-context edge.
 func (e *ctxEntry) addCallee(callee *ctxEntry) {
-	if e.calleeSeen == nil {
-		e.calleeSeen = map[*ctxEntry]bool{}
+	if e.callees == nil {
+		e.callees = map[*ctxEntry]bool{}
 	}
-	if e.calleeSeen[callee] {
-		return
-	}
-	e.calleeSeen[callee] = true
-	e.callees = append(e.callees, callee)
+	e.callees[callee] = true
 }
 
-// recordCallee records the callee-context edge of one call during the
-// metrics pass (buffered under speculation).
+// recordCallee records the callee-context edge of one call (buffered
+// under speculation). Only the harvest reads the edges, so they are kept
+// only when a seeder is attached.
 func (x *exec) recordCallee(ctx *ctxEntry, callee *ctxEntry) {
 	a := x.a
-	if !a.metricsOn || a.seeder == nil || ctx == nil {
+	if a.seeder == nil || ctx == nil {
 		return
 	}
 	if x.spec != nil {
@@ -378,12 +384,12 @@ func (x *exec) recordCallee(ctx *ctxEntry, callee *ctxEntry) {
 	ctx.addCallee(callee)
 }
 
-// ExportSummaries harvests one summary per metrics-complete context for
-// the session's store. It returns nil when nothing trustworthy can be
-// harvested: runs without a seeder (the per-context warning and callee
-// records are only kept when one is attached), degraded runs (budget
-// fallbacks are not fixed-point results) and ablation runs with the
-// context cache disabled.
+// ExportSummaries harvests one summary per context of the final round's
+// demand closure for the session's store. It returns nil when nothing
+// trustworthy can be harvested: runs without a seeder (the per-context
+// warning and callee records are only kept when one is attached),
+// degraded runs (budget fallbacks are not fixed-point results) and
+// ablation runs with the context cache disabled.
 func (r *Result) ExportSummaries() []*Summary {
 	a := r.analysis
 	if a == nil || a.seeder == nil || len(r.Degraded) > 0 || r.Opts.DisableContextCache {
@@ -391,7 +397,7 @@ func (r *Result) ExportSummaries() []*Summary {
 	}
 	var out []*Summary
 	for _, e := range a.ctxList {
-		if !e.metricsDone || e.degraded {
+		if e.doneRound != a.round || e.degraded {
 			continue
 		}
 		if e.seeded != nil {
@@ -454,7 +460,7 @@ func (a *Analysis) encodeSummary(e *ctxEntry) *Summary {
 	for _, p := range a.parsOf(e.id) {
 		sum.Pars = append(sum.Pars, SummaryPar{Node: p.NodeID, Iterations: p.Iterations, Threads: p.Threads})
 	}
-	for _, ce := range e.callees {
+	for ce := range e.callees {
 		if ce.canonKey == "" {
 			key, ok := cn.ctxKey(ce.fn, ce.Cp, ce.Ip, ce.ghostSrc)
 			if !ok {

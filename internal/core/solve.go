@@ -9,10 +9,10 @@
 // untouched: it replaces every interning or caching operation with a
 // lookup-only probe and aborts (via panic(specAbort{})) the moment a
 // transfer would have to create a location set, intern a new analysis
-// context, analyse a procedure body, or emit a warning. Metric records
-// are buffered and replayed only if the speculation commits. A committed
-// speculation is therefore bit-identical to the sequential execution it
-// replaced.
+// context, analyse a procedure body, or emit a warning. Fact and sample
+// records are buffered and replayed only if the speculation commits. A
+// committed speculation is therefore bit-identical to the sequential
+// execution it replaced.
 
 package core
 
@@ -278,9 +278,9 @@ func (p bodyProblem) Transfer(v *pfg.Vertex, in *Triple) (*Triple, error) {
 	}
 }
 
-// solveBody runs the worklist solver over one flow graph. During the
-// metrics pass a fact recorder snapshots the per-vertex triples the
-// measurements are derived from.
+// solveBody runs the worklist solver over one flow graph. A solve in a
+// context snapshots, through a fact recorder, the per-vertex triples the
+// measurements are derived from (the final round's snapshots stand).
 func (x *exec) solveBody(g *pfg.Graph, in *Triple, ctx *ctxEntry) (*Triple, error) {
 	prob := bodyProblem{x: x, ctx: ctx}
 	if x.a.seqFast {
@@ -292,7 +292,7 @@ func (x *exec) solveBody(g *pfg.Graph, in *Triple, ctx *ctxEntry) (*Triple, erro
 		Prob:     prob,
 		Schedule: dataflow.FIFO,
 	}
-	if x.a.metricsOn && ctx != nil {
+	if ctx != nil {
 		s.Recorder = &factRecorder{x: x, ctx: ctx}
 	}
 	if x.a.polling {

@@ -159,8 +159,8 @@ func TestWarmEqualsColdAfterEveryProcEdit(t *testing.T) {
 }
 
 // TestWarmEqualsColdRecordPoints repeats the sweep on one program with
-// per-point recording on, where the metrics pass re-executes seeded
-// contexts for real.
+// per-point recording on, where the engine seeds nothing: every program
+// point must come from a real solve.
 func TestWarmEqualsColdRecordPoints(t *testing.T) {
 	opts := mtpa.Options{Mode: mtpa.Multithreaded, RecordPoints: true}
 	p, err := bench.Load("magic")

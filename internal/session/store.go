@@ -5,7 +5,12 @@
 // ("res|…", "env|…", "ast|…", "sum|…"). Eviction is
 // least-recently-touched by generation stamp; every artifact is a pure
 // cache entry, so evicting any of them costs recomputation, never
-// correctness.
+// correctness. That includes evicting one context summary while its
+// callers' summaries stay: a seeded caller whose stored callee key no
+// longer resolves drops its seed and is solved for real in the same
+// round (core's applySeed), so the warm result still equals the cold one
+// (TestSummaryEvictionWarmEqualsCold drops every summary of every corpus
+// program in turn).
 
 package session
 

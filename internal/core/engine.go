@@ -303,6 +303,9 @@ type Analysis struct {
 	round   int
 	changed bool
 	metrics *Metrics
+	// facts holds the per-vertex solver snapshots of the current round
+	// (metrics.go); deriveMetrics turns the final round's into Metrics.
+	facts map[FactKey]*Triple
 
 	// seqFast marks the interference-free fast-path mode: the program has
 	// no reachable par/parfor (ir.Program.ParReachable), so every fact's I
@@ -398,7 +401,12 @@ type Result struct {
 	// way; the flag only describes how they were computed.
 	FastPath bool
 
-	analysis *Analysis
+	// What the accessors need, copied out of the engine when the run ends
+	// so that none of the engine's scaffolding (contexts, call memo,
+	// speculation pendings, flow graphs, canonizer) outlives analyze.
+	contextsTotal int
+	contextsByFn  map[*ir.Func]int
+	seedStats     SeedStats
 }
 
 // Freeze marks every points-to graph the result exposes as shared
@@ -429,7 +437,8 @@ func Analyze(prog *ir.Program, opts Options) (*Result, error) {
 // function never panics: internal invariant violations are converted to
 // *errs.ICEError by a recover shim.
 func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (res *Result, err error) {
-	return analyze(ctx, prog, opts, nil, nil)
+	res, _, err = analyze(ctx, prog, opts, nil, nil)
+	return res, err
 }
 
 // AnalyzeContextFI is AnalyzeContext with a caller-precomputed
@@ -439,16 +448,19 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (res *R
 // must be flowinsens.Analyze(prog).Graph (it is trusted, not checked) and
 // must not be mutated afterwards.
 func AnalyzeContextFI(ctx context.Context, prog *ir.Program, opts Options, fi *ptgraph.Graph) (res *Result, err error) {
-	return analyze(ctx, prog, opts, nil, fi)
+	res, _, err = analyze(ctx, prog, opts, nil, fi)
+	return res, err
 }
 
 // analyze is the shared driver behind AnalyzeContext, AnalyzeContextFI
 // and AnalyzeWithSeeder (seed.go); with a nil seeder and nil fi they are
-// all identical.
-func analyze(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder, fi *ptgraph.Graph) (res *Result, err error) {
+// all identical. sums is the summary harvest of a seeded run (see
+// AnalyzeWithSeeder); it is handed back rather than kept in res, so a
+// cached result does not keep summaries its store has since evicted.
+func analyze(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder, fi *ptgraph.Graph) (res *Result, sums []*Summary, err error) {
 	defer errs.Recover(&err)
 	if prog.Main == nil {
-		return nil, fmt.Errorf("core: program has no main function")
+		return nil, nil, fmt.Errorf("core: program has no main function")
 	}
 	a := &Analysis{
 		prog:       prog,
@@ -494,10 +506,10 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder,
 	for {
 		rounds++
 		if rounds > a.opts.maxRounds() {
-			return nil, fmt.Errorf("core: recursion fixed point did not converge after %d rounds", a.opts.maxRounds())
+			return nil, nil, fmt.Errorf("core: recursion fixed point did not converge after %d rounds", a.opts.maxRounds())
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		a.round = rounds
 		a.changed = false
@@ -506,40 +518,60 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder,
 		// round starts them afresh: a context demanded only in an earlier
 		// round must leave nothing behind.
 		a.metrics.resetRound()
+		a.facts = map[FactKey]*Triple{}
 		if err := a.speculateContexts(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		var err error
 		if out, err = a.analyzeRoot(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !a.changed {
 			break
 		}
 	}
 	if err := a.deriveMetrics(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a.metrics.NumContexts = len(a.ctxList)
 	a.metrics.CallMemoHits = a.memoHits
 	a.metrics.CallMemoMisses = a.memoMisses
 	a.metrics.SolverSteps = a.totalSteps.Load()
 	a.metrics.DegradedContexts = len(a.degraded)
+	if testHookAnalysis != nil {
+		testHookAnalysis(a)
+	}
 
-	return &Result{
-		Prog:         prog,
-		Table:        a.tab,
-		Opts:         opts,
-		Metrics:      a.metrics,
-		Warnings:     a.warnings,
-		Rounds:       rounds,
-		MainOut:      out,
-		ProcAnalyses: a.procAnalyses,
-		Degraded:     a.degraded,
-		FastPath:     a.seqFast,
-		analysis:     a,
-	}, nil
+	res = &Result{
+		Prog:          prog,
+		Table:         a.tab,
+		Opts:          opts,
+		Metrics:       a.metrics,
+		Warnings:      a.warnings,
+		Rounds:        rounds,
+		MainOut:       out,
+		ProcAnalyses:  a.procAnalyses,
+		Degraded:      a.degraded,
+		FastPath:      a.seqFast,
+		contextsTotal: len(a.ctxList),
+		contextsByFn:  map[*ir.Func]int{},
+		seedStats:     SeedStats{Hits: a.seedHits, Misses: a.seedMisses, HitsByFunc: a.seedHitsByFn},
+	}
+	for _, e := range a.ctxList {
+		res.contextsByFn[e.fn]++
+	}
+	if seeder != nil && len(a.degraded) == 0 && !opts.DisableContextCache {
+		sums = a.exportSummaries()
+	}
+	// Ghost expansion interns location sets, so it runs here, before the
+	// result can be published and read concurrently.
+	a.expandGhosts()
+	return res, sums, nil
 }
+
+// testHookAnalysis, when set by a test, receives every run's engine state
+// just before analyze returns (the retention test attaches a finalizer).
+var testHookAnalysis func(*Analysis)
 
 // ---------------------------------------------------------------------------
 // Cancellation polling and budget degradation

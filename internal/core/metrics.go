@@ -33,6 +33,10 @@ type AccessSample struct {
 	AccID int
 	CtxID int
 	Locs  []locset.ID // sorted
+
+	// expanded is the ghost expansion of Locs (Result.ExpandGhosts), set
+	// when the run ends if Locs holds a ghost location set.
+	expanded []locset.ID
 }
 
 // Count returns the number of location sets required to represent the
@@ -96,11 +100,6 @@ type Metrics struct {
 	par    map[parKey]*ParSample
 	points map[PointKey]*Triple
 
-	// facts holds the per-vertex solver snapshots of the current round;
-	// the final round's are consumed by deriveMetrics and dropped
-	// afterwards.
-	facts map[FactKey]*Triple
-
 	// NumContexts is the total number of analysis contexts generated.
 	NumContexts int
 
@@ -127,12 +126,11 @@ func newMetrics() *Metrics {
 	return m
 }
 
-// resetRound drops the facts and samples recorded so far; the analysis
-// calls it at the start of every round.
+// resetRound drops the samples recorded so far; the analysis calls it at
+// the start of every round, with its fact store.
 func (m *Metrics) resetRound() {
 	m.access = map[accKey]*AccessSample{}
 	m.par = map[parKey]*ParSample{}
-	m.facts = map[FactKey]*Triple{}
 }
 
 // PointAt returns the recorded triple at a program point, or nil. The
@@ -179,7 +177,7 @@ func (m *Metrics) ParSamples() []*ParSample {
 // ---------------------------------------------------------------------------
 // Fact recording
 
-// factRecorder snapshots solver facts into the metrics fact store. It
+// factRecorder snapshots solver facts into the analysis fact store. It
 // records the triple before every vertex that needs one — vertices with
 // measured accesses always, every vertex when RecordPoints is set — and
 // the triple after each chain tail when RecordPoints is set (the
@@ -233,7 +231,7 @@ func (x *exec) putFact(k FactKey, t *Triple) {
 		x.spec.buf.facts = append(x.spec.buf.facts, factRec{key: k, fact: t})
 		return
 	}
-	x.a.metrics.facts[k] = t
+	x.a.facts[k] = t
 }
 
 // recordParAnalysis stores the convergence measurement for one parallel
@@ -261,7 +259,7 @@ func (m *Metrics) putPar(n *ir.Node, ctx, iterations, threads int) {
 // the version check rejects it at the next probe.
 func (x *exec) replaySpec(buf *specBuf) {
 	for _, f := range buf.facts {
-		x.a.metrics.facts[f.key] = f.fact
+		x.a.facts[f.key] = f.fact
 	}
 	for _, p := range buf.pars {
 		x.a.metrics.putPar(p.node, p.ctx, p.iterations, p.threads)
@@ -283,19 +281,19 @@ func (x *exec) replaySpec(buf *specBuf) {
 // Deriving the measurements from the facts
 
 // deriveMetrics turns the recorded solver facts into access samples and
-// (with RecordPoints) per-point triples, then drops the fact store. The
-// replay applies only straight-line transfer functions: call instructions
-// are isolated in their own vertices, whose after-state is the next
-// vertex's fact, so they are never re-executed. A failing replay is an
-// internal invariant violation, reported as an *errs.ICEError.
+// (with RecordPoints) per-point triples. The replay applies only
+// straight-line transfer functions: call instructions are isolated in
+// their own vertices, whose after-state is the next vertex's fact, so they
+// are never re-executed. A failing replay is an internal invariant
+// violation, reported as an *errs.ICEError.
 func (a *Analysis) deriveMetrics() error {
 	x := &exec{a: a}
 	// The replay can intern location sets the solve itself never
 	// materialised (a deref through an access-only fact's C graph), so it
 	// must run in a deterministic order or fresh IDs would depend on map
 	// iteration order.
-	keys := make([]FactKey, 0, len(a.metrics.facts))
-	for k := range a.metrics.facts {
+	keys := make([]FactKey, 0, len(a.facts))
+	for k := range a.facts {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -309,7 +307,7 @@ func (a *Analysis) deriveMetrics() error {
 		return !ki.After && kj.After
 	})
 	for _, k := range keys {
-		fact := a.metrics.facts[k]
+		fact := a.facts[k]
 		v := k.V
 		if k.After {
 			if a.opts.RecordPoints {
@@ -355,7 +353,6 @@ func (a *Analysis) deriveMetrics() error {
 			}
 		}
 	}
-	a.metrics.facts = nil
 	return nil
 }
 
@@ -374,31 +371,46 @@ func accessLocs(in *ir.Instr, t *Triple) ptgraph.Set {
 // ---------------------------------------------------------------------------
 // Result accessors
 
-// GhostSources returns, for an analysis context, the actual program blocks
-// each ghost block stands for (used to compute the merged-context metric
-// of Table 4).
-func (r *Result) GhostSources(ctxID int) map[*locset.Block][]*locset.Block {
-	if ctxID < 0 || ctxID >= len(r.analysis.ctxList) {
-		return nil
-	}
-	return r.analysis.ctxList[ctxID].ghostSrc
-}
-
 // ContextCount returns the number of analysis contexts generated for the
 // given function (0 when the function was never analysed).
-func (r *Result) ContextCount(fn *ir.Func) int {
-	return len(r.analysis.entries[fn])
-}
+func (r *Result) ContextCount(fn *ir.Func) int { return r.contextsByFn[fn] }
 
 // ContextsTotal returns the total number of analysis contexts.
-func (r *Result) ContextsTotal() int { return len(r.analysis.ctxList) }
+func (r *Result) ContextsTotal() int { return r.contextsTotal }
 
 // ExpandGhosts rewrites a sample's location sets, replacing ghost location
 // sets with the actual location sets that were mapped to them (Table 4's
-// counting convention). Non-ghost location sets pass through unchanged.
+// counting convention), in ascending ID order. Non-ghost location sets
+// pass through unchanged. The expansion of every sample in Metrics was
+// computed when the run ended, so ExpandGhosts never writes the
+// location-set table and is safe on a result shared between goroutines;
+// the returned slice may be shared and must not be modified.
 func (r *Result) ExpandGhosts(s *AccessSample) []locset.ID {
-	srcs := r.GhostSources(s.CtxID)
-	tab := r.Table
+	if s.expanded != nil {
+		return s.expanded
+	}
+	return expandSample(r.Table, s, nil)
+}
+
+// expandGhosts stores the ghost expansion of every access sample holding a
+// ghost location set. Expanding interns location sets, so it walks the
+// samples in AccessSamples order: their IDs are then deterministic.
+func (a *Analysis) expandGhosts() {
+	for _, s := range a.metrics.AccessSamples() {
+		for _, id := range s.Locs {
+			if a.tab.Get(id).Block.Kind == locset.KindGhost {
+				s.expanded = expandSample(a.tab, s, a.ctxList[s.CtxID].ghostSrc)
+				break
+			}
+		}
+	}
+}
+
+// expandSample maps each ghost location set of s to the actual blocks srcs
+// records for its block, interning the actual location sets as derived
+// ones (locset.Table.InternDerived); with a nil srcs it only sorts and
+// deduplicates.
+func expandSample(tab *locset.Table, s *AccessSample, srcs map[*locset.Block][]*locset.Block) []locset.ID {
 	seen := map[locset.ID]bool{}
 	var out []locset.ID
 	add := func(id locset.ID) {
@@ -409,12 +421,8 @@ func (r *Result) ExpandGhosts(s *AccessSample) []locset.ID {
 	}
 	for _, id := range s.Locs {
 		ls := tab.Get(id)
-		if ls.Block.Kind != locset.KindGhost {
-			add(id)
-			continue
-		}
 		actuals := srcs[ls.Block]
-		if len(actuals) == 0 {
+		if ls.Block.Kind != locset.KindGhost || len(actuals) == 0 {
 			add(id)
 			continue
 		}
@@ -423,7 +431,7 @@ func (r *Result) ExpandGhosts(s *AccessSample) []locset.ID {
 				add(id)
 				continue
 			}
-			add(tab.Intern(ab, ls.Offset, ls.Stride, ls.Pointer))
+			add(tab.InternDerived(ab, ls.Offset, ls.Stride, ls.Pointer))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -137,7 +137,14 @@ type calleeRec struct {
 // contexts whose canonical key hits the seeder return their retained
 // fixed-point result without being solved. With a nil seeder it is
 // exactly AnalyzeContext.
-func AnalyzeWithSeeder(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder) (*Result, error) {
+//
+// It also returns one summary per context of the final round's demand
+// closure, for the session's store; the caller must not modify them. The
+// harvest is nil when nothing trustworthy can be harvested: runs without
+// a seeder (the per-context warning and callee records are only kept when
+// one is attached), degraded runs (budget fallbacks are not fixed-point
+// results) and ablation runs with the context cache disabled.
+func AnalyzeWithSeeder(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder) (*Result, []*Summary, error) {
 	return analyze(ctx, prog, opts, seeder, nil)
 }
 
@@ -147,19 +154,13 @@ func AnalyzeWithSeeder(ctx context.Context, prog *ir.Program, opts Options, seed
 // refinement's Budget degradations. (Seeding and budgets are mutually
 // exclusive by session policy, so in practice fi is a no-op there — the
 // parameter keeps the sharing invariant uniform across entry points.)
-func AnalyzeWithSeederFI(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder, fi *ptgraph.Graph) (*Result, error) {
+func AnalyzeWithSeederFI(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder, fi *ptgraph.Graph) (*Result, []*Summary, error) {
 	return analyze(ctx, prog, opts, seeder, fi)
 }
 
 // SeedStats reports the summary-seeding outcomes of the run (zero value
 // for runs without a seeder).
-func (r *Result) SeedStats() SeedStats {
-	a := r.analysis
-	if a == nil {
-		return SeedStats{}
-	}
-	return SeedStats{Hits: a.seedHits, Misses: a.seedMisses, HitsByFunc: a.seedHitsByFn}
-}
+func (r *Result) SeedStats() SeedStats { return r.seedStats }
 
 // canon returns the run's lazily created canonizer.
 func (a *Analysis) canon() *canonizer {
@@ -384,17 +385,9 @@ func (x *exec) recordCallee(ctx *ctxEntry, callee *ctxEntry) {
 	ctx.addCallee(callee)
 }
 
-// ExportSummaries harvests one summary per context of the final round's
-// demand closure for the session's store. It returns nil when nothing
-// trustworthy can be harvested: runs without a seeder (the per-context
-// warning and callee records are only kept when one is attached),
-// degraded runs (budget fallbacks are not fixed-point results) and
-// ablation runs with the context cache disabled.
-func (r *Result) ExportSummaries() []*Summary {
-	a := r.analysis
-	if a == nil || a.seeder == nil || len(r.Degraded) > 0 || r.Opts.DisableContextCache {
-		return nil
-	}
+// exportSummaries harvests the summaries AnalyzeWithSeeder returns;
+// analyze calls it once, at the end of a seeded run.
+func (a *Analysis) exportSummaries() []*Summary {
 	var out []*Summary
 	for _, e := range a.ctxList {
 		if e.doneRound != a.round || e.degraded {

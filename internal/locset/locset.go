@@ -110,6 +110,9 @@ type LocSet struct {
 	// Pointer records whether values stored at this location set may be
 	// pointers (used for L×{unk} initialisation and the Table 1 counts).
 	Pointer bool
+	// Derived marks a location set only InternDerived has named; it stays
+	// out of the Table 1 counts until Intern names it too.
+	Derived bool
 }
 
 // String renders the location set as ⟨name,offset,stride⟩, abbreviating
@@ -194,12 +197,29 @@ func (t *Table) Intern(b *Block, offset, stride int64, pointer bool) ID {
 		if pointer && !t.sets[id].Pointer {
 			t.sets[id].Pointer = true
 		}
+		if t.sets[id].Derived {
+			t.sets[id].Derived = false
+		}
 		return id
 	}
 	id := ID(len(t.sets))
 	t.sets = append(t.sets, LocSet{Block: b, Offset: offset, Stride: stride, Pointer: pointer})
 	t.index[k] = id
 	t.blockSets[b.ID] = append(t.blockSets[b.ID], id)
+	return id
+}
+
+// InternDerived is Intern for a location set that only restates what
+// another one stands for, such as a ghost location set's actual location
+// set (core's ghost expansion for Table 4). It never changes an existing
+// location set, and it marks one it creates Derived, which keeps it out
+// of Table 1's counts: those count what the analysis itself named.
+func (t *Table) InternDerived(b *Block, offset, stride int64, pointer bool) ID {
+	if id, ok := t.index[key{block: b.ID, offset: offset, stride: stride}]; ok {
+		return id
+	}
+	id := t.Intern(b, offset, stride, pointer)
+	t.sets[id].Derived = true
 	return id
 }
 

@@ -41,6 +41,26 @@ func TestInternDedup(t *testing.T) {
 	}
 }
 
+func TestInternDerived(t *testing.T) {
+	tab := testTable()
+	sym := &ast.Symbol{Kind: ast.SymGlobal, Name: "a", Type: types.ArrayOf(types.IntType, 4)}
+	b := tab.SymBlock(sym)
+	scalar := tab.Intern(b, 0, 0, false)
+	if got := tab.InternDerived(b, 0, 0, true); got != scalar {
+		t.Fatalf("InternDerived of an existing set = %d, want %d", got, scalar)
+	}
+	if ls := tab.Get(scalar); ls.Pointer || ls.Derived {
+		t.Errorf("InternDerived changed an existing set: %+v", ls)
+	}
+	elem := tab.InternDerived(b, 0, 4, false)
+	if !tab.Get(elem).Derived {
+		t.Errorf("a set only InternDerived named is not Derived")
+	}
+	if tab.Intern(b, 0, 4, false) != elem || tab.Get(elem).Derived {
+		t.Errorf("Intern must name the derived set and clear its mark")
+	}
+}
+
 func TestSymBlockIdentity(t *testing.T) {
 	tab := testTable()
 	owner := &ast.FuncDecl{Name: "f"}

@@ -51,6 +51,9 @@ func Characteristics(name, description, source string, prog *ir.Program) Program
 			continue // ghost location sets are excluded, as in the paper
 		}
 		for _, id := range tab.LocSetsInBlock(b) {
+			if tab.Get(id).Derived {
+				continue // named only by Table 4's ghost expansion
+			}
 			st.LocSets++
 			if tab.Get(id).Pointer {
 				st.PtrLocSets++

@@ -50,26 +50,26 @@ func TestSummaryEvictionWarmEqualsCold(t *testing.T) {
 		progs = append(progs, ps...)
 	}
 	opts := core.Options{Mode: core.Multithreaded}
-	analyze := func(p bench.Program, seeder core.Seeder) *core.Result {
+	analyze := func(p bench.Program, seeder core.Seeder) (*core.Result, []*core.Summary) {
 		t.Helper()
 		prog, err := mtpa.Compile(p.Name+".clk", p.Source)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", p.Name, err)
 		}
-		res, err := core.AnalyzeWithSeeder(context.Background(), prog.IR, opts, seeder)
+		res, harvest, err := core.AnalyzeWithSeeder(context.Background(), prog.IR, opts, seeder)
 		if err != nil {
 			t.Fatalf("%s: analyze: %v", p.Name, err)
 		}
-		return res
+		return res, harvest
 	}
 	drops, mismatches := 0, 0
 	for _, p := range progs {
 		// An empty seeder makes the cold run keep the per-context records
-		// ExportSummaries needs, without seeding anything.
-		cold := analyze(p, &hidingSeeder{})
+		// the summary harvest needs, without seeding anything.
+		cold, harvest := analyze(p, &hidingSeeder{})
 		want := cold.Fingerprint()
 		sums := map[string]*core.Summary{}
-		for _, s := range cold.ExportSummaries() {
+		for _, s := range harvest {
 			sums[s.Key] = s
 		}
 		if len(sums) == 0 {
@@ -81,7 +81,7 @@ func TestSummaryEvictionWarmEqualsCold(t *testing.T) {
 		}
 		sort.Strings(keys)
 		for _, hidden := range append([]string{""}, keys...) {
-			warm := analyze(p, &hidingSeeder{sums: sums, hidden: hidden})
+			warm, _ := analyze(p, &hidingSeeder{sums: sums, hidden: hidden})
 			what := "no summary hidden"
 			if hidden != "" {
 				drops++

@@ -159,6 +159,13 @@ func (s *Session) Update(filename, src string) (*Compiled, *core.Result, UpdateS
 // sets into the (by then shared) table, racing with concurrent readers
 // of the cached result — and a served tier-0 answer for a known file
 // should be O(1) anyway.
+//
+// The result holds the run's answers only: the engine state that built
+// them (contexts, call memo, speculation, flow graphs, canonizer) is
+// garbage once the analysis returns, and the ghost expansion queries read
+// is computed before it does. The context summaries the run harvests are
+// stored as their own "sum|" entries, not through the result. The
+// store's capacity counts entries, not bytes.
 type cachedRun struct {
 	compiled *Compiled
 	result   *core.Result
@@ -295,7 +302,7 @@ func (s *Session) RunStaged(ctx context.Context, st *Staged, fi *ptgraph.Graph) 
 		return st.cached.result, stats, nil
 	}
 
-	res, aerr := core.AnalyzeWithSeederFI(ctx, st.comp.IR, s.opts, st.seeder, fi)
+	res, sums, aerr := core.AnalyzeWithSeederFI(ctx, st.comp.IR, s.opts, st.seeder, fi)
 	if aerr != nil {
 		s.finish(&stats)
 		var ice *errs.ICEError
@@ -306,7 +313,7 @@ func (s *Session) RunStaged(ctx context.Context, st *Staged, fi *ptgraph.Graph) 
 	}
 	stats.Seed = res.SeedStats()
 
-	for _, sm := range res.ExportSummaries() {
+	for _, sm := range sums {
 		dh, ok := st.deps[sm.Fn]
 		if !ok {
 			continue

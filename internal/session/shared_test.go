@@ -11,12 +11,14 @@
 package session_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"mtpa"
 	"mtpa/internal/bench"
+	"mtpa/internal/race"
 )
 
 // TestSharedStoreTwoSessionsRace streams interleaved edits of one file
@@ -172,4 +174,87 @@ func TestSessionConcurrentUpdateAndQuery(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSharedResultConcurrentQueries answers queries on published results
+// from many goroutines at once, as two tenants asking about the same file
+// (or two polls of one refinement token) do. Under -race it pins that
+// queries never write a result's location-set table. Two results of ck
+// are queried: the one a second tenant gets from the shared store, and a
+// one-shot Compile + Analyze result. The one-shot result is the exposed
+// one: ck's ghost expansion names two location sets that nothing before
+// it interned, while a session's tier-0 pass happens to intern them before
+// the result is published.
+func TestSharedResultConcurrentQueries(t *testing.T) {
+	p, err := bench.Load("ck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const file = "ck.clk"
+	opts := mtpa.Options{Mode: mtpa.Multithreaded}
+	cold := coldFingerprint(t, file, p.Source, opts)
+	analyzeCold := func() (*mtpa.Program, *mtpa.Result) {
+		prog, err := mtpa.Compile(file, p.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := prog.Analyze(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog, res
+	}
+	refProg, refRes := analyzeCold()
+	wantRaces := len(race.New(refProg.IR, refRes).Detect())
+
+	store := mtpa.NewSharedStore(0)
+	tu, err := mtpa.NewSessionWithStore(opts, store).UpdateTiered(context.Background(), file, p.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tu.Refined(); err != nil {
+		t.Fatal(err)
+	}
+	up, err := mtpa.NewSessionWithStore(opts, store).Update(file, p.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !up.Stats.ResultCached {
+		t.Fatal("second tenant missed the shared whole-file result")
+	}
+
+	type target struct {
+		prog *mtpa.Program
+		res  *mtpa.Result
+	}
+	// A table write a query makes happens on the result's first query
+	// only, and the race detector keeps a short access history, so one
+	// trial catches it about a third of the time. Each trial takes a fresh
+	// one-shot result that no query has touched yet.
+	for trial := 0; trial < 8 && !t.Failed(); trial++ {
+		oneShotProg, oneShotRes := analyzeCold()
+		targets := []target{{up.Program, up.Result}, {oneShotProg, oneShotRes}}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < len(targets); i++ {
+					tg := targets[(g+i)%len(targets)]
+					if got := len(race.New(tg.prog.IR, tg.res).Detect()); got != wantRaces {
+						t.Errorf("goroutine %d: %d races, want %d", g, got, wantRaces)
+						return
+					}
+					if got := tg.res.Fingerprint(); got != cold {
+						t.Errorf("goroutine %d: fingerprint %s, want cold %s", g, got, cold)
+						return
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+	}
 }

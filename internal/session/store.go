@@ -40,7 +40,9 @@ type Artifacts interface {
 
 // Store is a bounded, mutex-guarded artifact cache — the standard
 // Artifacts implementation, safe for concurrent use and for sharing
-// between sessions.
+// between sessions. Its capacity counts entries, not bytes; the heaviest
+// entries are whole-file results (cachedRun), which hold a run's answers
+// only.
 type Store struct {
 	mu    sync.Mutex
 	cap   int

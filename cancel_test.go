@@ -30,8 +30,8 @@ func compileOne(t *testing.T, name string) *mtpa.Program {
 // TestAnalyzeContextCancel cancels an analysis mid-solve and checks the
 // three cancellation guarantees: the run unwinds promptly (well under
 // 100ms), the error unwraps to context.Canceled through the AnalysisError
-// wrapper, and no analysis goroutine outlives the call (the par solver
-// spawns speculative workers; an abandoned one would show up as a leak).
+// wrapper, and no goroutine outlives the call (a leak would show up in
+// the goroutine count).
 func TestAnalyzeContextCancel(t *testing.T) {
 	prog := compileOne(t, "barnes")
 	opts := mtpa.Options{Mode: mtpa.Multithreaded}
@@ -90,7 +90,7 @@ func TestAnalyzeContextCancel(t *testing.T) {
 		t.Errorf("pre-cancelled analysis took %v, want <100ms", d)
 	}
 
-	// Leak check: the speculative par workers must all have unwound. Allow
+	// Leak check: nothing the runs started may still be running. Allow
 	// the runtime a moment to reap exiting goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

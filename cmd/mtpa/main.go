@@ -22,25 +22,16 @@
 //	-max-steps n       per-procedure solver step budget; exceeding it
 //	                   degrades that procedure to the flow-insensitive
 //	                   result instead of failing the run
-//	-workers n         fixpoint worker count: how many procedure-context
-//	                   tasks the interprocedural engine may pre-solve
-//	                   concurrently (0 = GOMAXPROCS, 1 = sequential);
-//	                   results are bit-identical at every count
 //	-repeat n          analyse each input n times through one incremental
 //	                   session and report cache hit rates
 //
 // Multiple files (or -repeat above 1) run through one analysis session:
 // artifacts — parsed declarations, naming environments, per-context
 // summaries and whole-file results — are reused across updates, and a
-// reuse report is printed after the batch; -workers applies to every
-// analysis the session runs.
+// reuse report is printed after the batch.
 //
 // Exit codes: 0 success, 1 malformed input or usage error, 2 analysis
-// failure or internal error, 3 timeout/cancellation. -workers does not
-// change the classification: a -timeout expiring while the worker pool
-// is running still exits 3 — the pool is joined (no goroutine leaks),
-// the context error propagates, and partial speculative work is
-// discarded, never reported as a result.
+// failure or internal error, 3 timeout/cancellation.
 package main
 
 import (
@@ -79,7 +70,6 @@ type config struct {
 	tiered   bool
 	timeout  time.Duration
 	maxSteps int
-	workers  int
 	repeat   int
 	args     []string
 }
@@ -101,7 +91,6 @@ func main() {
 	flag.BoolVar(&cfg.tiered, "tiered", false, "answer in two tiers: flow-insensitive immediately, flow-sensitive when the fixpoint lands")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "cancel the analysis after this duration (0 = no limit)")
 	flag.IntVar(&cfg.maxSteps, "max-steps", 0, "per-procedure solver step budget, degrading to flow-insensitive on excess (0 = no limit)")
-	flag.IntVar(&cfg.workers, "workers", 0, "fixpoint worker count for concurrent context pre-solving (0 = GOMAXPROCS, 1 = sequential); results are identical at every count")
 	flag.IntVar(&cfg.repeat, "repeat", 1, "analyse each input this many times through one incremental session")
 	flag.Parse()
 	cfg.args = flag.Args()
@@ -179,7 +168,6 @@ func run(out, errOut io.Writer, cfg config) error {
 		opts.Mode = mtpa.Sequential
 	}
 	opts.Budget.MaxSolverSteps = cfg.maxSteps
-	opts.FixpointWorkers = cfg.workers
 	ctx := context.Background()
 	if cfg.timeout > 0 {
 		var cancel context.CancelFunc

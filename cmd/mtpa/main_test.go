@@ -185,68 +185,6 @@ func TestDumpPFG(t *testing.T) {
 	}
 }
 
-// TestWorkersGoldenIdentity checks the -workers flag end to end: the
-// summary rendered with a parallel fixpoint pool must match the same
-// golden byte-for-byte as the sequential default, at every count
-// including the explicit "disable" spelling (negative).
-func TestWorkersGoldenIdentity(t *testing.T) {
-	for _, workers := range []int{-1, 1, 4} {
-		var out, errOut bytes.Buffer
-		err := run(&out, &errOut, config{
-			mode: "mt", summary: true, seed: 1, corpus: "fib", workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		checkGolden(t, "fib_mt.golden", out.Bytes())
-	}
-}
-
-// TestWorkersSessionIdentity checks -workers through the -repeat batch
-// path: the whole session transcript (summaries plus the reuse report)
-// must be identical whether the analyses inside the session run
-// sequentially or on a 4-worker pool.
-func TestWorkersSessionIdentity(t *testing.T) {
-	transcript := func(workers int) string {
-		var out, errOut bytes.Buffer
-		err := run(&out, &errOut, config{
-			mode: "mt", summary: true, seed: 1, corpus: "fib",
-			repeat: 3, workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return out.String()
-	}
-	seq, par := transcript(1), transcript(4)
-	if seq != par {
-		t.Errorf("session transcript differs between workers=1 and workers=4:\n--- workers=1 ---\n%s--- workers=4 ---\n%s", seq, par)
-	}
-}
-
-// TestWorkersTimeoutExit pins the documented -workers × -timeout
-// interaction: a deadline expiring while the worker pool runs still
-// classifies as exit code 3, with no partial output on stdout.
-func TestWorkersTimeoutExit(t *testing.T) {
-	var out, errOut bytes.Buffer
-	err := run(&out, &errOut, config{
-		mode: "mt", summary: true, seed: 1, corpus: "barnes",
-		timeout: time.Nanosecond, workers: 4,
-	})
-	if err == nil {
-		t.Fatal("expected a timeout error")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("timeout error does not unwrap to context.DeadlineExceeded: %v", err)
-	}
-	if exitCode(err) != 3 {
-		t.Errorf("timeout exit code = %d, want 3", exitCode(err))
-	}
-	if out.Len() != 0 {
-		t.Errorf("timed-out run wrote to stdout: %s", out.String())
-	}
-}
-
 // TestTimeoutExit checks the -timeout path end to end: an unmeetable
 // deadline must abort the analysis with an error that classifies as exit
 // code 3, and the failure must identify itself as a deadline, not a crash.

@@ -24,10 +24,7 @@
 // programs, and the exit code is nonzero. -timeout bounds the whole
 // corpus analysis (exit code 3 on expiry); -max-steps sets the
 // per-procedure solver budget, degrading offenders to the
-// flow-insensitive result (see -table budget). -workers sets the
-// fixpoint worker count per analysis (0 = GOMAXPROCS, 1 = sequential);
-// every table is identical at every count, and a -timeout expiring
-// while workers are running still exits 3 after the pool drains.
+// flow-insensitive result (see -table budget).
 package main
 
 import (
@@ -59,7 +56,6 @@ func main() {
 	timingRuns := flag.Int("timing-runs", 3, "analysis runs per timing measurement (fig10); the minimum is reported")
 	timeout := flag.Duration("timeout", 0, "cancel the corpus analysis after this duration (0 = no limit)")
 	maxSteps := flag.Int("max-steps", 0, "per-procedure solver step budget, degrading to flow-insensitive on excess (0 = no limit)")
-	workers := flag.Int("workers", 0, "fixpoint worker count for concurrent context pre-solving (0 = GOMAXPROCS, 1 = sequential); tables are identical at every count")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the table generation to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after table generation to this file")
 	flag.Parse()
@@ -81,7 +77,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	runErr := run(ctx, os.Stdout, os.Stderr, *table, *timingRuns, *maxSteps, *workers)
+	runErr := run(ctx, os.Stdout, os.Stderr, *table, *timingRuns, *maxSteps)
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, "mttables:", err)
 		os.Exit(1)
@@ -200,10 +196,9 @@ func analyseCorpus(ctx context.Context, errOut io.Writer, opts mtpa.Options) ([]
 	return out, nil
 }
 
-func run(ctx context.Context, out, errOut io.Writer, table string, timingRuns, maxSteps, workers int) error {
+func run(ctx context.Context, out, errOut io.Writer, table string, timingRuns, maxSteps int) error {
 	var opts mtpa.Options
 	opts.Budget.MaxSolverSteps = maxSteps
-	opts.FixpointWorkers = workers
 	all, corpusErr := analyseCorpus(ctx, errOut, opts)
 	if len(all) == 0 {
 		return corpusErr
@@ -290,7 +285,7 @@ func run(ctx context.Context, out, errOut io.Writer, table string, timingRuns, m
 		for _, a := range all {
 			rows = append(rows, tierRowOf(a.Name, "parallel", a.Compiled, a.MT))
 		}
-		seqAll, err := bench.AnalyzeSeqAll(mtpa.Options{Mode: mtpa.Multithreaded, FixpointWorkers: workers}, 0)
+		seqAll, err := bench.AnalyzeSeqAll(mtpa.Options{Mode: mtpa.Multithreaded}, 0)
 		if err != nil {
 			return err
 		}
@@ -309,10 +304,9 @@ func run(ctx context.Context, out, errOut io.Writer, table string, timingRuns, m
 
 	if want("threads") {
 		// The unstructured partition: create/join/lock sites per procedure.
-		// The analysis runs first (at the requested worker count) so a
-		// program the engine cannot handle is reported like any other
+		// The analysis runs first so a program the engine cannot handle is reported like any other
 		// corpus failure; the site counts themselves come from lowering.
-		unstr, err := bench.AnalyzeUnstrAll(mtpa.Options{Mode: mtpa.Multithreaded, FixpointWorkers: workers}, 0)
+		unstr, err := bench.AnalyzeUnstrAll(mtpa.Options{Mode: mtpa.Multithreaded}, 0)
 		if err != nil {
 			return err
 		}

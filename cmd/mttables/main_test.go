@@ -34,9 +34,10 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // TestTableGoldens locks the stable table renderings over the corpus: the
 // program characteristics (Table 1), the per-access location-set counts
-// (Tables 2 and 4, Figures 8 and 9) and the convergence measurements
-// (Table 3). All are deterministic functions of the corpus sources and
-// the analysis; the timing figure (fig10) is excluded.
+// (Tables 2 and 4, Figures 8 and 9), the convergence measurements
+// (Table 3) and the context-cache and call-memo counters. All are
+// deterministic functions of the corpus sources and the sequential
+// analysis; the timing figure (fig10) is excluded.
 func TestTableGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus table rendering is slow in -short mode")
@@ -48,30 +49,26 @@ func TestTableGoldens(t *testing.T) {
 		{"4", "table4.golden"},
 		{"fig8", "fig8.golden"},
 		{"fig9", "fig9.golden"},
+		{"cache", "cache.golden"},
 	}
 	for _, g := range goldens {
-		// Render at 1 and 4 fixpoint workers: both must match the same
-		// golden byte-for-byte (the parallel engine's core invariant).
-		for _, workers := range []int{1, 4} {
-			var out, errOut bytes.Buffer
-			if err := run(context.Background(), &out, &errOut, g.table, 1, 0, workers); err != nil {
-				t.Fatalf("table %s (workers=%d): %v", g.table, workers, err)
-			}
-			checkGolden(t, g.file, out.Bytes())
+		var out, errOut bytes.Buffer
+		if err := run(context.Background(), &out, &errOut, g.table, 1, 0); err != nil {
+			t.Fatalf("table %s: %v", g.table, err)
 		}
+		checkGolden(t, g.file, out.Bytes())
 	}
 }
 
 // TestCacheTableSmoke checks the cache/memo statistics render one row per
-// program and that the corpus produces memo traffic. The exact hit/miss
-// counts are not golden-pinned: the split varies with the speculation
-// schedule of the concurrent par solver (the analysis results do not).
+// program, in the paper's order, and that the corpus produces memo
+// traffic. TestTableGoldens pins the exact counters.
 func TestCacheTableSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus table rendering is slow in -short mode")
 	}
 	var out, errOut bytes.Buffer
-	if err := run(context.Background(), &out, &errOut, "cache", 1, 0, 1); err != nil {
+	if err := run(context.Background(), &out, &errOut, "cache", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
@@ -94,7 +91,7 @@ func TestTableFormattingStable(t *testing.T) {
 		t.Skip("full-corpus table rendering is slow in -short mode")
 	}
 	var out, errOut bytes.Buffer
-	if err := run(context.Background(), &out, &errOut, "3", 1, 0, 1); err != nil {
+	if err := run(context.Background(), &out, &errOut, "3", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
@@ -125,30 +122,25 @@ func TestTierTableGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus table rendering is slow in -short mode")
 	}
-	for _, workers := range []int{1, 4} {
-		var out, errOut bytes.Buffer
-		if err := run(context.Background(), &out, &errOut, "tier", 1, 0, workers); err != nil {
-			t.Fatalf("table tier (workers=%d): %v", workers, err)
-		}
-		checkGolden(t, "tier.golden", out.Bytes())
+	var out, errOut bytes.Buffer
+	if err := run(context.Background(), &out, &errOut, "tier", 1, 0); err != nil {
+		t.Fatalf("table tier: %v", err)
 	}
+	checkGolden(t, "tier.golden", out.Bytes())
 }
 
 // TestThreadsTableGolden locks the per-procedure concurrency-site table
 // over the unstructured partition. The counts are a function of lowering
-// alone, so the rendering must match the golden byte-for-byte at both 1
-// and 4 fixpoint workers.
+// alone.
 func TestThreadsTableGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-partition table rendering is slow in -short mode")
 	}
-	for _, workers := range []int{1, 4} {
-		var out, errOut bytes.Buffer
-		if err := run(context.Background(), &out, &errOut, "threads", 1, 0, workers); err != nil {
-			t.Fatalf("table threads (workers=%d): %v", workers, err)
-		}
-		checkGolden(t, "threads.golden", out.Bytes())
+	var out, errOut bytes.Buffer
+	if err := run(context.Background(), &out, &errOut, "threads", 1, 0); err != nil {
+		t.Fatalf("table threads: %v", err)
 	}
+	checkGolden(t, "threads.golden", out.Bytes())
 }
 
 // TestValidTables pins the closed set of -table names: an unknown name
@@ -174,7 +166,7 @@ func TestBudgetTableSmoke(t *testing.T) {
 		t.Skip("full-corpus table rendering is slow in -short mode")
 	}
 	var out, errOut bytes.Buffer
-	if err := run(context.Background(), &out, &errOut, "budget", 1, 0, 1); err != nil {
+	if err := run(context.Background(), &out, &errOut, "budget", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
@@ -196,7 +188,7 @@ func TestTimeoutAbortsCorpus(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	var out, errOut bytes.Buffer
-	err := run(ctx, &out, &errOut, "3", 1, 0, 4)
+	err := run(ctx, &out, &errOut, "3", 1, 0)
 	if err == nil {
 		t.Fatal("expected a timeout error")
 	}

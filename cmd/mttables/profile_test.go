@@ -21,7 +21,7 @@ func TestProfileFlags(t *testing.T) {
 		t.Fatalf("startProfiles: %v", err)
 	}
 	var out, errOut bytes.Buffer
-	runErr := run(context.Background(), &out, &errOut, "3", 1, 0, 1)
+	runErr := run(context.Background(), &out, &errOut, "3", 1, 0)
 	if err := stop(); err != nil {
 		t.Fatalf("stop profiles: %v", err)
 	}

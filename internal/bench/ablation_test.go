@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -11,61 +10,6 @@ import (
 	"mtpa/internal/locset"
 	"mtpa/internal/ptgraph"
 )
-
-// TestParWorkersBitIdentical pins the central property of the concurrent
-// par fixed point: the speculative concurrent execution (ParWorkers > 1)
-// must produce results bit-identical to the sequential Gauss–Seidel sweep
-// (ParWorkers = 1) — same graphs, same contexts, same iteration counts,
-// same samples, same warnings. Under -race this also exercises the
-// speculation machinery for data races.
-func TestParWorkersBitIdentical(t *testing.T) {
-	conc, err := AnalyzeAll(mtpa.Options{Mode: mtpa.Multithreaded, ParWorkers: 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := AnalyzeAll(mtpa.Options{Mode: mtpa.Multithreaded, ParWorkers: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range conc {
-		s := seq[i]
-		if c.Err != nil || s.Err != nil {
-			t.Fatalf("%s: conc err %v, seq err %v", c.Name, c.Err, s.Err)
-		}
-		if !c.Res.MainOut.C.Equal(s.Res.MainOut.C) || !c.Res.MainOut.E.Equal(s.Res.MainOut.E) {
-			t.Errorf("%s: concurrent and sequential par solves produced different graphs", c.Name)
-		}
-		if c.Res.ContextsTotal() != s.Res.ContextsTotal() ||
-			c.Res.Rounds != s.Res.Rounds ||
-			c.Res.ProcAnalyses != s.Res.ProcAnalyses {
-			t.Errorf("%s: contexts/rounds/analyses diverged: %d/%d/%d vs %d/%d/%d", c.Name,
-				c.Res.ContextsTotal(), c.Res.Rounds, c.Res.ProcAnalyses,
-				s.Res.ContextsTotal(), s.Res.Rounds, s.Res.ProcAnalyses)
-		}
-		if fmt.Sprint(c.Res.Warnings) != fmt.Sprint(s.Res.Warnings) {
-			t.Errorf("%s: warnings diverged:\n%v\n%v", c.Name, c.Res.Warnings, s.Res.Warnings)
-		}
-		ca, sa := c.Res.Metrics.AccessSamples(), s.Res.Metrics.AccessSamples()
-		if len(ca) != len(sa) {
-			t.Fatalf("%s: %d vs %d access samples", c.Name, len(ca), len(sa))
-		}
-		for j := range ca {
-			if ca[j].AccID != sa[j].AccID || ca[j].CtxID != sa[j].CtxID ||
-				fmt.Sprint(ca[j].Locs) != fmt.Sprint(sa[j].Locs) {
-				t.Errorf("%s: access sample %d diverged: %+v vs %+v", c.Name, j, ca[j], sa[j])
-			}
-		}
-		cp, sp := c.Res.Metrics.ParSamples(), s.Res.Metrics.ParSamples()
-		if len(cp) != len(sp) {
-			t.Fatalf("%s: %d vs %d par samples", c.Name, len(cp), len(sp))
-		}
-		for j := range cp {
-			if *cp[j] != *sp[j] {
-				t.Errorf("%s: par sample %d diverged: %+v vs %+v", c.Name, j, cp[j], sp[j])
-			}
-		}
-	}
-}
 
 // TestAblationMatrix runs the corpus under every combination of the four
 // ablation switches and checks the soundness invariant that survives all
@@ -131,11 +75,10 @@ func TestAblationMatrix(t *testing.T) {
 	}
 }
 
-// BenchmarkAnalyzeAll measures the whole-corpus analysis in the serial
-// configuration (one driver worker, sequential par sweeps) and the
-// parallel one (GOMAXPROCS driver workers, concurrent speculative par
-// solves). The two produce bit-identical results; the benchmark quantifies
-// what the concurrency buys on the current machine.
+// BenchmarkAnalyzeAll measures the whole-corpus analysis with one driver
+// worker and with GOMAXPROCS driver workers (programs analysed side by
+// side). The two produce bit-identical results; the benchmark quantifies
+// what the program-level concurrency buys on the current machine.
 func BenchmarkAnalyzeAll(b *testing.B) {
 	bench := func(b *testing.B, opts mtpa.Options, workers int) {
 		b.ReportAllocs()
@@ -152,9 +95,9 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) {
-		bench(b, mtpa.Options{Mode: mtpa.Multithreaded, ParWorkers: 1}, 1)
+		bench(b, mtpa.Options{Mode: mtpa.Multithreaded}, 1)
 	})
 	b.Run("parallel", func(b *testing.B) {
-		bench(b, mtpa.Options{Mode: mtpa.Multithreaded, ParWorkers: runtime.GOMAXPROCS(0)}, 0)
+		bench(b, mtpa.Options{Mode: mtpa.Multithreaded}, 0)
 	})
 }

@@ -12,8 +12,7 @@ import (
 // effect would have been a no-op, so running with the memo off must
 // reproduce the exact same graphs, contexts, rounds, samples and
 // warnings. The hit/miss counters themselves are NOT compared — with the
-// memo off they are zero by construction, and under speculation their
-// split legitimately depends on the commit schedule.
+// memo off they are zero by construction.
 func TestCallMemoBitIdentical(t *testing.T) {
 	on, err := AnalyzeAll(mtpa.Options{Mode: mtpa.Multithreaded}, 0)
 	if err != nil {

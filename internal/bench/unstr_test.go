@@ -112,37 +112,27 @@ func TestGoldenUnstrCorpus(t *testing.T) {
 	}
 }
 
-// TestUnstrSweepBitIdentical runs the unstructured partition across
-// fixpoint workers {1, 4} × call memo {on, off} and requires bit-identical
-// fingerprints everywhere: the normalized region form must not open any
-// new nondeterminism or memo sensitivity.
+// TestUnstrSweepBitIdentical runs the unstructured partition with the
+// call memo on and off and requires bit-identical fingerprints: the
+// normalized region form must not open any memo sensitivity.
 func TestUnstrSweepBitIdentical(t *testing.T) {
-	type cfg struct {
-		workers int
-		nomemo  bool
-	}
-	cfgs := []cfg{{1, false}, {1, true}, {4, false}, {4, true}}
 	for _, mode := range bothModes {
 		var base []CorpusResult
-		for _, c := range cfgs {
-			rs, err := AnalyzeUnstrAll(mtpa.Options{
-				Mode:            mode,
-				FixpointWorkers: c.workers,
-				DisableCallMemo: c.nomemo,
-			}, 0)
+		for _, nomemo := range []bool{false, true} {
+			rs, err := AnalyzeUnstrAll(mtpa.Options{Mode: mode, DisableCallMemo: nomemo}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, r := range rs {
 				if r.Err != nil {
-					t.Fatalf("%s %v workers=%d nomemo=%v: %v", r.Name, mode, c.workers, c.nomemo, r.Err)
+					t.Fatalf("%s %v nomemo=%v: %v", r.Name, mode, nomemo, r.Err)
 				}
 				if base == nil {
 					continue
 				}
 				if got, want := r.Res.Fingerprint(), base[i].Res.Fingerprint(); got != want {
-					t.Errorf("%s %v workers=%d nomemo=%v: fingerprint diverged\ngot:  %s\nbase: %s",
-						r.Name, mode, c.workers, c.nomemo, got, want)
+					t.Errorf("%s %v nomemo=%v: fingerprint diverged\ngot:  %s\nbase: %s",
+						r.Name, mode, nomemo, got, want)
 				}
 			}
 			if base == nil {

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,23 +82,9 @@ type Options struct {
 	// point.
 	DisableSeqFastPath bool
 
-	// ParWorkers bounds how many per-thread solves of one par fixed-point
-	// iteration may run concurrently (0 = GOMAXPROCS). With fewer than two
-	// workers the iteration runs sequentially — the speculative machinery
-	// only pays off when thread solves actually overlap. The result is
-	// bit-identical either way.
+	// Deprecated: has no effect; the engine is sequential.
 	ParWorkers int
-
-	// FixpointWorkers bounds how many ⟨procedure, context⟩ tasks of the
-	// interprocedural fixed point may be pre-solved concurrently (see
-	// phase.go): before each round's canonical sequential sweep, every
-	// known context is solved speculatively against the frozen round-start
-	// state on a work-stealing pool, and the sweep commits a speculation
-	// only after validating the exact dependency versions it consumed.
-	// 0 = GOMAXPROCS (overridable with the MTPA_FIXPOINT_WORKERS
-	// environment variable); 1 (or a negative value) disables the phase
-	// and is byte-for-byte today's sequential engine. The result is
-	// bit-identical at every worker count.
+	// Deprecated: has no effect; the engine is sequential.
 	FixpointWorkers int
 
 	// MaxRounds bounds the outer recursion fixed point (0 = default 1000).
@@ -164,38 +148,6 @@ func (o *Options) maxRounds() int {
 	return 1000
 }
 
-func (o *Options) parWorkers() int {
-	if o.ParWorkers > 0 {
-		return o.ParWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// envFixpointWorkers caches the MTPA_FIXPOINT_WORKERS override, read
-// once per process (0 when unset or unparsable). It exists so CI can
-// force a worker count across a whole test binary without touching every
-// Options literal.
-var envFixpointWorkers = func() int {
-	n, err := strconv.Atoi(os.Getenv("MTPA_FIXPOINT_WORKERS"))
-	if err != nil || n < 1 {
-		return 0
-	}
-	return n
-}()
-
-func (o *Options) fixpointWorkers() int {
-	if o.FixpointWorkers > 0 {
-		return o.FixpointWorkers
-	}
-	if o.FixpointWorkers < 0 {
-		return 1
-	}
-	if envFixpointWorkers > 0 {
-		return envFixpointWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // envSeqFastPathOff caches the MTPA_SEQ_FASTPATH override, read once per
 // process: "0" disables the sequential fast path for the whole test
 // binary (the ablation CI jobs use it), anything else leaves the
@@ -248,20 +200,13 @@ type ctxEntry struct {
 
 	result     *callResult
 	inProgress bool
-	doneRound  int  // last round that solved, committed or seeded this context
+	doneRound  int  // last round that solved or seeded this context
 	degraded   bool // a budget excess degraded this context (recorded once)
 
 	// memo is this context's shard of the call-site transfer memo
 	// (memo.go): every memoKey names the calling context, so each entry
 	// belongs to exactly one shard and the memo dies with its context.
-	// During the speculation phase the shards are read-only (populations
-	// are buffered), so concurrent tasks never contend on a shared map.
 	memo map[callKey][]*memoEntry
-
-	// pending is a completed task speculation awaiting the canonical
-	// sweep's commit-or-discard decision (phase.go). Only the sequential
-	// sweep reads or writes it.
-	pending *pendingTask
 
 	// Summary-seeding state (seed.go), populated only when a Seeder is
 	// attached: the canonical context key, the resolved summary standing in
@@ -287,16 +232,14 @@ type Analysis struct {
 
 	// memoHits and memoMisses count the call-site memo probes across all
 	// rounds; the memo entries themselves live sharded on their calling
-	// context (ctxEntry.memo). Both counters are only ever bumped by the
-	// sequential sweep (speculations buffer them), so they need no
-	// synchronization.
+	// context (ctxEntry.memo).
 	memoHits   int
 	memoMisses int
 
 	// rootBlocks caches the always-nameable reachability roots (globals,
 	// private globals, strings, functions, unk); these block kinds all
 	// exist before the analysis starts, so the slice is built once,
-	// lazily — possibly first from a speculative executor, hence the Once.
+	// lazily, on the first call-site reachability pass.
 	rootBlocks []*locset.Block
 	rootsOnce  sync.Once
 
@@ -403,7 +346,7 @@ type Result struct {
 
 	// What the accessors need, copied out of the engine when the run ends
 	// so that none of the engine's scaffolding (contexts, call memo,
-	// speculation pendings, flow graphs, canonizer) outlives analyze.
+	// flow graphs, canonizer) outlives analyze.
 	contextsTotal int
 	contextsByFn  map[*ir.Func]int
 	seedStats     SeedStats
@@ -484,8 +427,8 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder,
 		// flow-insensitive graph over-approximates every edge any code ever
 		// creates, so it serves as the thread's unseen-interference
 		// environment (par.go). Computing it interns location sets into the
-		// shared table, so it happens here, eagerly and deterministically,
-		// before any speculative solve could race to build it.
+		// shared table, so it happens here, eagerly, at a fixed point in
+		// the run: the table's ID assignment stays deterministic.
 		a.hasDetached = true
 		a.flowinsensGraph()
 	}
@@ -519,9 +462,6 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, seeder Seeder,
 		// round must leave nothing behind.
 		a.metrics.resetRound()
 		a.facts = map[FactKey]*Triple{}
-		if err := a.speculateContexts(); err != nil {
-			return nil, nil, err
-		}
 		var err error
 		if out, err = a.analyzeRoot(); err != nil {
 			return nil, nil, err
@@ -578,10 +518,8 @@ var testHookAnalysis func(*Analysis)
 
 // poll is the dataflow.Solver poll hook, installed only when a context or
 // budget is attached (a.polling). It runs before every chain transfer —
-// also inside speculative par solves, which share the enclosing
-// procedure's step counter. Reading the location-set table size from a
-// speculation is safe for the same reason its probes are: the coordinator
-// mutates no shared state while speculations run.
+// also inside par-region solves, which bill the enclosing procedure's
+// step counter.
 func (x *exec) poll() error {
 	a := x.a
 	if err := a.ctx.Err(); err != nil {
@@ -721,8 +659,7 @@ func equalSig(a, b []uint64) bool {
 // getContext interns an analysis context. Contexts are bucketed by a hash
 // of the input graphs' incremental hashes; exact equality inside a bucket
 // is verified with per-source interned-set pointer comparisons, so no
-// serialised string keys are ever built. A speculative executor only
-// probes: a context that does not exist yet aborts the speculation.
+// serialised string keys are ever built.
 func (x *exec) getContext(fn *ir.Func, Cp, Ip *ptgraph.Graph, ghostSrc map[*locset.Block][]*locset.Block) (*ctxEntry, error) {
 	a := x.a
 	sig := ghostSig(ghostSrc)
@@ -731,9 +668,6 @@ func (x *exec) getContext(fn *ir.Func, Cp, Ip *ptgraph.Graph, ghostSrc map[*locs
 		if e.Cp.Equal(Cp) && e.Ip.Equal(Ip) && equalSig(e.sig, sig) {
 			return e, nil
 		}
-	}
-	if x.spec != nil {
-		x.abort()
 	}
 	m, ok := a.entries[fn]
 	if !ok {
@@ -756,19 +690,9 @@ func (x *exec) getContext(fn *ir.Func, Cp, Ip *ptgraph.Graph, ghostSrc map[*locs
 
 // analyzeContext analyses a procedure in a context, updating its current
 // best result. Recursive re-entry is handled by the outer rounds: callers
-// hitting an in-progress context consume its current best result. A
-// speculative executor may consume cached results (they are frozen while
-// the speculation runs) but aborts if the context would need real work.
+// hitting an in-progress context consume its current best result.
 func (x *exec) analyzeContext(e *ctxEntry) error {
 	a := x.a
-	if s := x.spec; s != nil && s.phase {
-		// Task speculation (phase.go): consume the context's current
-		// result as-is and record a version dependency; the canonical
-		// sweep's commit re-demands the context and discards the
-		// speculation if its result moved.
-		s.logDep(e)
-		return nil
-	}
 	if e.inProgress {
 		return nil
 	}
@@ -778,23 +702,10 @@ func (x *exec) analyzeContext(e *ctxEntry) error {
 		// (ablation), the procedure is re-analysed at every call site.
 		return nil
 	}
-	if x.spec != nil {
-		x.abort()
-	}
 	if e.seeded != nil {
 		// The retained fixed-point result stands in for the solve, unless
 		// a stored callee key no longer resolves (applySeed, seed.go).
 		if done, err := x.applySeed(e); done {
-			return err
-		}
-	}
-	if p := e.pending; p != nil {
-		// A task speculation pre-solved this context against the
-		// round-start state (phase.go). Commit it if its dependency
-		// versions validate — then this demand is O(deps) instead of a
-		// solve — and fall through to the ordinary solve otherwise.
-		e.pending = nil
-		if ok, err := x.commitPending(e, p); err != nil || ok {
 			return err
 		}
 	}

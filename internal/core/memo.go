@@ -9,7 +9,7 @@
 // no-op: the entry must have been populated in the current round (a
 // round restart invalidates every entry of the previous round), the
 // callee context must be one analyzeContext would not re-solve right
-// now (in progress, or solved, committed or seeded this round), and the
+// now (in progress, or solved or seeded this round), and the
 // callee's result version must not have moved since the entry was
 // stored (an in-progress recursive context can grow its result
 // mid-round). Under those conditions the memoised output is
@@ -21,20 +21,9 @@
 // The memo is sharded onto the calling context (ctxEntry.memo): every
 // key names its caller, so each entry belongs to exactly one shard,
 // shard maps stay small, and a context's entries are garbage the moment
-// the context is. The speculation phase (phase.go) reads the shards of
-// many contexts concurrently; that is safe because only the sequential
-// sweep ever installs entries — speculative populations are buffered.
-//
-// Speculation discipline (see solve.go): a speculative executor only
-// probes the shards; on a miss it falls through to the ordinary probing
-// slow path, and populations plus hit/miss counter bumps are buffered
-// in the speculation's specBuf and applied by replaySpec only if the
-// speculation commits. A speculative solve additionally indexes its own
-// buffered populations (specState.memoIdx) so in-solve revisits hit the
-// memo just as the sequential solve they predict would. Stored graphs
-// are Clone snapshots (shared, copy-on-write); hits hand out
-// CloneShared copies, which never write the cached graph and are
-// therefore safe under concurrent probes.
+// the context is. Stored graphs are Clone snapshots (shared,
+// copy-on-write); hits hand out CloneShared copies, which never write
+// the cached graph.
 
 package core
 
@@ -56,10 +45,7 @@ type memoKey struct {
 
 // callKey is memoKey without the calling context: the entries are
 // sharded onto their calling context (ctxEntry.memo), so the context is
-// the shard, not part of the in-shard key. Sharding keeps the memo maps
-// small, lets a context's entries die with it, and — because the
-// speculation phase (phase.go) only ever reads the shards — removes the
-// one shared mutable map the old global memo would have been.
+// the shard, not part of the in-shard key.
 type callKey struct {
 	call *ir.Call
 	fn   *ir.Func
@@ -78,12 +64,6 @@ type memoEntry struct {
 	m    *mapping       // the name-space translation the outputs used
 }
 
-// memoRec is a buffered speculative population.
-type memoRec struct {
-	key   memoKey
-	entry *memoEntry
-}
-
 // memoEnabled reports whether the call-site memo participates in this
 // run. It requires the context cache: with that cache disabled every
 // call re-solves its callee, which a memo hit would skip.
@@ -91,59 +71,31 @@ func (a *Analysis) memoEnabled() bool {
 	return !a.opts.DisableCallMemo && !a.opts.DisableContextCache
 }
 
-// calleeFresh reports whether analyzeContext(e) would be a no-op right
-// now — the precondition for a memo hit to skip it. A task speculation
-// (phase.go) consumes frozen results, so for it every callee is fresh by
-// assumption — the consumption is recorded as a version dependency and
-// validated at commit, exactly like a direct analyzeContext consumption.
-func (x *exec) calleeFresh(e *ctxEntry) bool {
-	if s := x.spec; s != nil && s.phase {
-		s.logDep(e)
-		return true
-	}
-	return e.inProgress || e.doneRound == x.a.round
-}
-
 // probeCallMemo looks the call up in the memo. On a hit it returns the
 // output triple (created edges still need the caller's ∪ t.E); the
-// returned graphs are independently mutable snapshots. A speculative
-// executor first consults its own buffered populations (a revisit
-// within one speculative solve must hit just as the sequential solve it
-// predicts would), then the calling context's shard — read-only, which
-// is what makes concurrent probes of the shards safe.
+// returned graphs are independently mutable snapshots. A hit requires
+// the callee to be one analyzeContext would not re-solve right now: in
+// progress, or solved or seeded this round.
 func (x *exec) probeCallMemo(k memoKey, t *Triple) (*Triple, bool) {
 	a := x.a
 	if !a.memoEnabled() || k.ctx == nil {
 		return nil, false
 	}
-	if s := x.spec; s != nil && s.memoIdx != nil {
-		if tr, ok := x.scanMemoBucket(s.memoIdx[k], k, t); ok {
-			return tr, true
-		}
-	}
-	if tr, ok := x.scanMemoBucket(k.ctx.memo[callKey{call: k.call, fn: k.fn}], k, t); ok {
-		return tr, true
-	}
-	x.countMemo(false)
-	return nil, false
-}
-
-// scanMemoBucket applies the hit conditions to one bucket.
-func (x *exec) scanMemoBucket(bucket []*memoEntry, k memoKey, t *Triple) (*Triple, bool) {
-	a := x.a
-	for _, e := range bucket {
+	for _, e := range k.ctx.memo[callKey{call: k.call, fn: k.fn}] {
 		if e.round != a.round || !e.inC.Equal(t.C) || !e.inI.Equal(t.I) {
 			continue
 		}
-		if e.callee.result.version != e.calleeVer || !x.calleeFresh(e.callee) {
+		c := e.callee
+		if c.result.version != e.calleeVer || !(c.inProgress || c.doneRound == a.round) {
 			continue
 		}
-		x.countMemo(true)
+		a.memoHits++
 		// A hit skips getContext, so the callee-context edge (harvested
 		// into session summaries) is recorded here instead.
-		x.recordCallee(k.ctx, e.callee)
+		x.recordCallee(k.ctx, c)
 		return &Triple{C: e.outC.CloneShared(), I: t.I, E: e.outE.CloneShared()}, true
 	}
+	a.memoMisses++
 	return nil, false
 }
 
@@ -151,9 +103,7 @@ func (x *exec) scanMemoBucket(bucket []*memoEntry, k memoKey, t *Triple) (*Tripl
 // final post-call C graph; outE is the expanded created-edge graph
 // before the caller's t.E union (t.E varies between revisits whose
 // ⟨C, I⟩ key is unchanged, so it stays out of the cached value). Both
-// must already be Clone snapshots. A speculative executor buffers the
-// entry; replaySpec installs it on commit (a stale buffered entry is
-// harmless — the version check rejects it at probe time).
+// must already be Clone snapshots.
 func (x *exec) storeCallMemo(k memoKey, t *Triple, callee *ctxEntry, m *mapping, outC, outE *ptgraph.Graph) {
 	a := x.a
 	if !a.memoEnabled() || k.ctx == nil {
@@ -162,9 +112,7 @@ func (x *exec) storeCallMemo(k memoKey, t *Triple, callee *ctxEntry, m *mapping,
 	inI := t.I
 	if !a.seqFast {
 		// Snapshot the I input. On the fast path t.I is the analysis-wide
-		// empty graph: immutable by construction, so it is stored as-is —
-		// Clone would write its copy-on-write mark, racing with concurrent
-		// speculative stores of the same shared graph.
+		// empty graph, immutable by construction, so it is stored as-is.
 		inI = inI.Clone()
 	}
 	e := &memoEntry{
@@ -173,26 +121,9 @@ func (x *exec) storeCallMemo(k memoKey, t *Triple, callee *ctxEntry, m *mapping,
 		callee: callee, calleeVer: callee.result.version,
 		outC: outC, outE: outE, m: m,
 	}
-	if s := x.spec; s != nil {
-		s.buf.memos = append(s.buf.memos, memoRec{key: k, entry: e})
-		if s.memoIdx == nil {
-			s.memoIdx = map[memoKey][]*memoEntry{}
-		}
-		s.memoIdx[k] = append(s.memoIdx[k], e)
-		return
-	}
-	a.installMemo(k, e)
-}
-
-// installMemo inserts an entry into its shard's bucket, replacing a
-// stale (previous-round) or same-input entry rather than growing the
-// bucket. Only the sequential sweep installs (speculations buffer), so
-// the shards never see a concurrent write.
-func (a *Analysis) installMemo(k memoKey, e *memoEntry) {
+	// Replace a stale (previous-round) or same-input entry rather than
+	// growing the bucket.
 	owner := k.ctx
-	if owner == nil {
-		return
-	}
 	if owner.memo == nil {
 		owner.memo = map[callKey][]*memoEntry{}
 	}
@@ -205,22 +136,4 @@ func (a *Analysis) installMemo(k memoKey, e *memoEntry) {
 		}
 	}
 	owner.memo[ck] = append(bucket, e)
-}
-
-// countMemo bumps the hit/miss counters (buffered under speculation so
-// an aborted speculation leaves no trace).
-func (x *exec) countMemo(hit bool) {
-	if x.spec != nil {
-		if hit {
-			x.spec.buf.memoHits++
-		} else {
-			x.spec.buf.memoMisses++
-		}
-		return
-	}
-	if hit {
-		x.a.memoHits++
-	} else {
-		x.a.memoMisses++
-	}
 }

@@ -28,11 +28,8 @@ int main() {
 // TestCallMemoHits pins down that revisiting a call with identical
 // inputs hits the memo, that DisableCallMemo bypasses it entirely, and
 // that the analysis result does not depend on the memo in any way.
-// ParWorkers is 1 throughout: the hit/miss split is deterministic only
-// for a sequential par sweep (speculative threads probe the memo state
-// from the start of the iteration).
 func TestCallMemoHits(t *testing.T) {
-	opts := mtpa.Options{Mode: mtpa.Multithreaded, ParWorkers: 1}
+	opts := mtpa.Options{Mode: mtpa.Multithreaded}
 	_, res := analyze(t, memoSrc, opts)
 	if res.Metrics.CallMemoHits == 0 {
 		t.Errorf("expected call-memo hits on fixpoint revisits, got 0 (misses=%d)",
@@ -65,7 +62,7 @@ func TestCallMemoHits(t *testing.T) {
 // disabled with the context cache (a hit would skip the per-call callee
 // re-solve that DisableContextCache asks for).
 func TestCallMemoOffWithContextCacheOff(t *testing.T) {
-	opts := mtpa.Options{Mode: mtpa.Multithreaded, ParWorkers: 1, DisableContextCache: true}
+	opts := mtpa.Options{Mode: mtpa.Multithreaded, DisableContextCache: true}
 	_, res := analyze(t, memoSrc, opts)
 	if res.Metrics.CallMemoHits != 0 || res.Metrics.CallMemoMisses != 0 {
 		t.Errorf("DisableContextCache: memo should be inert, got hits=%d misses=%d",

@@ -104,16 +104,14 @@ type Metrics struct {
 	NumContexts int
 
 	// CallMemoHits and CallMemoMisses count the call-site transfer memo
-	// probes (memo.go) across all rounds. The split between them can vary
-	// with the speculation schedule (a speculative solve probes the memo
-	// state of its iteration start), but the analysis results never do.
+	// probes (memo.go) across all rounds. The engine is sequential, so the
+	// split is a deterministic function of the program and the options.
 	CallMemoHits   int
 	CallMemoMisses int
 
 	// SolverSteps counts worklist chain transfers across all rounds. It is
 	// tracked only when a context or budget is attached (the default path
-	// runs poll-free) and, like the memo split, may vary with the
-	// speculation schedule.
+	// runs poll-free).
 	SolverSteps int64
 	// DegradedContexts counts the procedure contexts that exceeded a
 	// budget and fell back to the flow-insensitive result.
@@ -183,8 +181,11 @@ func (m *Metrics) ParSamples() []*ParSample {
 // the triple after each chain tail when RecordPoints is set (the
 // after-the-last-instruction program point). Par vertices never carry
 // program points (their regions are solved at the parbegin transfer).
+//
+// Within a fixed point, later (more converged) solves of the same vertex
+// overwrite earlier ones.
 type factRecorder struct {
-	x   *exec
+	a   *Analysis
 	ctx *ctxEntry
 }
 
@@ -192,8 +193,8 @@ func (r *factRecorder) RecordIn(v *pfg.Vertex, in *Triple) {
 	if v.Kind == pfg.KindParBegin || v.Kind == pfg.KindParEnd {
 		return
 	}
-	if r.x.a.opts.RecordPoints {
-		r.x.putFact(FactKey{Ctx: r.ctx.id, V: v}, in.Clone())
+	if r.a.opts.RecordPoints {
+		r.a.facts[FactKey{Ctx: r.ctx.id, V: v}] = in.Clone()
 		return
 	}
 	if !v.HasAcc {
@@ -202,46 +203,22 @@ func (r *factRecorder) RecordIn(v *pfg.Vertex, in *Triple) {
 	// Access derivation reads C and I only (E never influences a deref
 	// set), so the created-edge graph need not be snapshotted. On the
 	// fast path I is the analysis-wide empty graph — immutable, shared
-	// as-is (cloning it would write its copy-on-write mark, racing with
-	// concurrent speculative recorders).
+	// as-is.
 	iSnap := in.I
-	if !r.x.a.seqFast {
+	if !r.a.seqFast {
 		iSnap = iSnap.Clone()
 	}
-	r.x.putFact(FactKey{Ctx: r.ctx.id, V: v}, &Triple{C: in.C.Clone(), I: iSnap})
+	r.a.facts[FactKey{Ctx: r.ctx.id, V: v}] = &Triple{C: in.C.Clone(), I: iSnap}
 }
 
 func (r *factRecorder) RecordOut(tail *pfg.Vertex, out *Triple) {
-	if !r.x.a.opts.RecordPoints {
+	if !r.a.opts.RecordPoints {
 		return
 	}
 	if tail.Kind == pfg.KindParBegin || tail.Kind == pfg.KindParEnd {
 		return
 	}
-	r.x.putFact(FactKey{Ctx: r.ctx.id, V: tail, After: true}, out.Clone())
-}
-
-// putFact stores one solver fact; within a fixed point, later (more
-// converged) solves of the same vertex overwrite earlier ones. A
-// speculative executor buffers the fact instead; the buffer is replayed
-// in thread order when the speculation commits, reproducing the
-// last-write-wins order of the sequential sweep.
-func (x *exec) putFact(k FactKey, t *Triple) {
-	if x.spec != nil {
-		x.spec.buf.facts = append(x.spec.buf.facts, factRec{key: k, fact: t})
-		return
-	}
-	x.a.facts[k] = t
-}
-
-// recordParAnalysis stores the convergence measurement for one parallel
-// construct analysis in the current context (buffered under speculation).
-func (x *exec) recordParAnalysis(ctx *ctxEntry, n *ir.Node, iterations, threads int) {
-	if x.spec != nil {
-		x.spec.buf.pars = append(x.spec.buf.pars, parRec{node: n, ctx: ctx.id, iterations: iterations, threads: threads})
-		return
-	}
-	x.a.metrics.putPar(n, ctx.id, iterations, threads)
+	r.a.facts[FactKey{Ctx: r.ctx.id, V: tail, After: true}] = out.Clone()
 }
 
 // putPar stores the convergence measurement of one par construct analysis.
@@ -250,31 +227,6 @@ func (m *Metrics) putPar(n *ir.Node, ctx, iterations, threads int) {
 		NodeID: n.ID, FnName: n.Fn.Name, CtxID: ctx,
 		Iterations: iterations, Threads: threads,
 	}
-}
-
-// replaySpec applies the records buffered by a committed speculation:
-// metric facts, par samples, call-memo populations and memo counters. A
-// buffered memo entry may have gone stale if an interleaved sequential
-// re-solve grew its callee's result — installing it is still safe, since
-// the version check rejects it at the next probe.
-func (x *exec) replaySpec(buf *specBuf) {
-	for _, f := range buf.facts {
-		x.a.facts[f.key] = f.fact
-	}
-	for _, p := range buf.pars {
-		x.a.metrics.putPar(p.node, p.ctx, p.iterations, p.threads)
-	}
-	for _, m := range buf.memos {
-		x.a.installMemo(m.key, m.entry)
-	}
-	for _, w := range buf.warns {
-		w.ctx.recordWarn(w.in, w.text)
-	}
-	for _, c := range buf.callees {
-		c.ctx.addCallee(c.callee)
-	}
-	x.a.memoHits += buf.memoHits
-	x.a.memoMisses += buf.memoMisses
 }
 
 // ---------------------------------------------------------------------------

@@ -1,43 +1,15 @@
 // Dataflow equations for parallel constructs: the par fixed point of
 // Figure 6 (including conditionally created threads, §3.11), the parallel
 // loop equations of §3.8, and the private-global handling of §3.9.
-//
-// The per-thread solves of one Figure 6 iteration are independent given
-// the iteration's created-edge sets E_j, so they run concurrently (one
-// goroutine per thread, bounded by Options.ParWorkers, which defaults to
-// GOMAXPROCS) as *speculations*: each
-// thread is solved against a snapshot of the E_j with all shared-state
-// mutations forbidden (see solve.go). The coordinator then commits the
-// speculations in ascending thread order. A speculation for thread i is
-// valid exactly when no earlier thread j < i changed E_j this iteration —
-// then its inputs equal the ones the sequential Gauss–Seidel sweep would
-// have built, and because a valid speculation's trajectory is
-// bit-identical to the sequential solve, committing it preserves the
-// sequential result exactly. An aborted or invalidated speculation is
-// simply re-solved sequentially. The fixed point, iteration counts,
-// contexts and warnings are therefore independent of goroutine timing.
-// Committing a speculation also installs its buffered call-memo entries
-// and hit/miss counter bumps (memo.go) via replaySpec; speculative
-// executors probe the memo read-only, so concurrent threads may split
-// hits and misses differently than a sequential sweep would — the memoised
-// results themselves are identical either way.
 
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"mtpa/internal/errs"
 	"mtpa/internal/locset"
 	"mtpa/internal/pfg"
 	"mtpa/internal/ptgraph"
 )
-
-// specSem bounds the number of concurrently running speculative thread
-// solves across the whole process. The floor of 2 lets tests exercise real
-// concurrency (Options.ParWorkers > 1) even on a single-CPU machine.
-var specSem = make(chan struct{}, max(2, runtime.GOMAXPROCS(0)))
 
 // transferRegion is the single entry point for parallel-region vertices:
 // parallel loops go to the §3.8 equations, every other region — structured
@@ -57,7 +29,8 @@ func (x *exec) transferRegion(region *pfg.ParRegion, t *Triple, ctx *ctxEntry) (
 //	C′  = ∩_i C′_i             E′  = E ∪ ⋃_i E_i
 //
 // The circular dependence on the E_j is broken by iterating from E_j = ∅
-// until the created-edge sets stabilise.
+// until the created-edge sets stabilise: each iteration is a Gauss–Seidel
+// sweep that solves the threads in order, each against the latest E_j.
 func (x *exec) transferPar(region *pfg.ParRegion, t *Triple, ctx *ctxEntry) (*Triple, error) {
 	a := x.a
 	if a.seqFast {
@@ -77,39 +50,24 @@ func (x *exec) transferPar(region *pfg.ParRegion, t *Triple, ctx *ctxEntry) (*Tr
 	Couts := make([]*ptgraph.Graph, k)
 	Cins := make([]*ptgraph.Graph, k)
 
-	// Speculation pays off only when sibling solves can actually overlap
-	// (ParWorkers > 1) and hit the caches: nested speculations run
-	// sequentially (they already hold a concurrency slot), and with the
-	// context cache disabled every call forces real work, which a
-	// speculation may never perform.
-	speculate := x.spec == nil && k >= 2 && a.opts.parWorkers() > 1 && !a.opts.DisableContextCache
-
 	iters := 0
 	for {
 		iters++
 		changed := false
-		if speculate {
-			ch, err := x.parIteration(region, t, ctx, Es, Couts, Cins)
+		for i := range region.Threads {
+			ch, err := x.parSolveThread(region, i, t, ctx, Es, Couts, Cins)
 			if err != nil {
 				return nil, err
 			}
-			changed = ch
-		} else {
-			for i := range region.Threads {
-				ch, err := x.parSolveThread(region, i, t, ctx, Es, Couts, Cins)
-				if err != nil {
-					return nil, err
-				}
-				if ch {
-					changed = true
-				}
+			if ch {
+				changed = true
 			}
 		}
 		if !changed {
 			break
 		}
 	}
-	x.recordParAnalysis(ctx, region.Node, iters, k)
+	a.metrics.putPar(region.Node, ctx.id, iters, k)
 
 	// Combine: intersection of the thread outputs; a conditionally created
 	// thread may not run at all, so its input graph is unioned back first
@@ -166,25 +124,27 @@ func (x *exec) transferPar(region *pfg.ParRegion, t *Triple, ctx *ctxEntry) (*Tr
 	return &Triple{C: Cprime, I: Iprime, E: Eprime}, nil
 }
 
-// prepareThreadInput builds the ⟨C_i, I_i⟩ inputs of thread i from the
-// construct input and the created-edge sets of the sibling threads. A
-// detached thread additionally races with every statement downstream of
-// the region — code this solve never sees — so its inputs absorb the
-// flow-insensitive graph, which over-approximates every edge any part of
-// the program ever creates (precomputed in analyze; see engine.go).
-func (x *exec) prepareThreadInput(region *pfg.ParRegion, t *Triple, es []*ptgraph.Graph, i int) (Ci, Ii *ptgraph.Graph) {
+// parSolveThread performs one Gauss–Seidel step for thread i: build its
+// ⟨C_i, I_i⟩ inputs from the construct input and the current created-edge
+// sets of the sibling threads, solve its body, and update E_i. It reports
+// whether E_i changed. A detached thread additionally races with every
+// statement downstream of the region — code this solve never sees — so
+// its inputs absorb the flow-insensitive graph, which over-approximates
+// every edge any part of the program ever creates (precomputed in
+// analyze; see engine.go).
+func (x *exec) parSolveThread(region *pfg.ParRegion, i int, t *Triple, ctx *ctxEntry, Es, Couts, Cins []*ptgraph.Graph) (bool, error) {
 	a := x.a
-	Ci = t.C.Clone()
-	Ii = t.I.Clone()
-	for j := range es {
+	Ci := t.C.Clone()
+	Ii := t.I.Clone()
+	for j := range Es {
 		if j == i {
 			continue
 		}
 		// The sibling may have run (its created edges are visible) or not
 		// (locations it wrote still hold their prior values, including the
 		// initial unk).
-		addCreatedC(Ci, es[j])
-		Ii.Union(es[j])
+		addCreatedC(Ci, Es[j])
+		Ii.Union(Es[j])
 	}
 	if region.DetachedThread(i) {
 		fi := a.flowinsensGraph()
@@ -195,15 +155,6 @@ func (x *exec) prepareThreadInput(region *pfg.ParRegion, t *Triple, es []*ptgrap
 		a.privEnterThread(Ci)
 		a.privEnterThread(Ii)
 	}
-	return Ci, Ii
-}
-
-// parSolveThread performs one sequential Gauss–Seidel step for thread i:
-// solve its body against the current E_j and update E_i. It reports
-// whether E_i changed.
-func (x *exec) parSolveThread(region *pfg.ParRegion, i int, t *Triple, ctx *ctxEntry, Es, Couts, Cins []*ptgraph.Graph) (bool, error) {
-	a := x.a
-	Ci, Ii := x.prepareThreadInput(region, t, Es, i)
 	Cins[i] = Ci.Clone()
 	out, err := x.solveBody(region.Threads[i], &Triple{C: Ci, I: Ii, E: ptgraph.New()}, ctx)
 	if err != nil {
@@ -221,110 +172,6 @@ func (x *exec) parSolveThread(region *pfg.ParRegion, i int, t *Triple, ctx *ctxE
 	return false, nil
 }
 
-// specResult is the outcome of one speculative thread solve.
-type specResult struct {
-	out      *Triple
-	buf      *specBuf
-	aborted  bool
-	err      error
-	panicked any
-}
-
-// parIteration performs one Figure 6 iteration with concurrent
-// speculative thread solves, committing them in ascending thread order.
-func (x *exec) parIteration(region *pfg.ParRegion, t *Triple, ctx *ctxEntry, Es, Couts, Cins []*ptgraph.Graph) (bool, error) {
-	a := x.a
-	k := len(region.Threads)
-
-	// Snapshot the created-edge sets: E_j is replaced only when it grows,
-	// so pointer identity detects any change during the commit sweep.
-	snap := make([]*ptgraph.Graph, k)
-	copy(snap, Es)
-
-	// The coordinator prepares every thread input sequentially — Clone
-	// marks its receiver copy-on-write, so concurrent Clones of the
-	// shared construct input would race.
-	ins := make([]*Triple, k)
-	cins := make([]*ptgraph.Graph, k)
-	for i := 0; i < k; i++ {
-		Ci, Ii := x.prepareThreadInput(region, t, snap, i)
-		cins[i] = Ci.Clone()
-		ins[i] = &Triple{C: Ci, I: Ii, E: ptgraph.New()}
-	}
-
-	// width additionally bounds this construct's in-flight solves to the
-	// analysis' configured worker count (specSem bounds the whole process).
-	width := make(chan struct{}, a.opts.parWorkers())
-
-	results := make([]specResult, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		width <- struct{}{}
-		specSem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-specSem; <-width }()
-			r := &results[i]
-			defer func() {
-				if p := recover(); p != nil {
-					if _, isAbort := p.(specAbort); isAbort {
-						r.aborted = true
-					} else {
-						r.panicked = p
-					}
-				}
-			}()
-			sx := &exec{a: a, spec: &specState{}, steps: x.steps}
-			out, err := sx.solveBody(region.Threads[i], ins[i], ctx)
-			r.out, r.err, r.buf = out, err, &sx.spec.buf
-		}(i)
-	}
-	// Join every speculation before touching any shared state: sequential
-	// re-solves mutate tables no speculative reader may observe.
-	wg.Wait()
-	for i := range results {
-		if p := results[i].panicked; p != nil {
-			panic(p)
-		}
-	}
-
-	changed := false
-	for i := 0; i < k; i++ {
-		r := &results[i]
-		valid := !r.aborted && r.err == nil
-		for j := 0; valid && j < i; j++ {
-			if Es[j] != snap[j] {
-				valid = false
-			}
-		}
-		if !valid {
-			// Re-solve sequentially against the authoritative E_j — the
-			// exact Gauss–Seidel step the speculation tried to predict.
-			ch, err := x.parSolveThread(region, i, t, ctx, Es, Couts, Cins)
-			if err != nil {
-				return false, err
-			}
-			if ch {
-				changed = true
-			}
-			continue
-		}
-		x.replaySpec(r.buf)
-		Cins[i] = cins[i]
-		Couts[i] = r.out.C
-		Ei := r.out.E
-		if a.hasPrivates {
-			Ei = a.privMask(Ei)
-		}
-		if !Ei.Equal(Es[i]) {
-			Es[i] = Ei
-			changed = true
-		}
-	}
-	return changed, nil
-}
-
 // transferParSequential analyses the threads one after another in textual
 // order, ignoring interference — the (unsound) Sequential baseline of §4.4.
 func (x *exec) transferParSequential(region *pfg.ParRegion, t *Triple, ctx *ctxEntry) (*Triple, error) {
@@ -338,7 +185,7 @@ func (x *exec) transferParSequential(region *pfg.ParRegion, t *Triple, ctx *ctxE
 		e.Union(out.E)
 		cur = &Triple{C: out.C, I: cur.I, E: e}
 	}
-	x.recordParAnalysis(ctx, region.Node, 1, len(region.Threads))
+	x.a.metrics.putPar(region.Node, ctx.id, 1, len(region.Threads))
 	return cur, nil
 }
 
@@ -351,8 +198,7 @@ func (x *exec) transferParSequential(region *pfg.ParRegion, t *Triple, ctx *ctxE
 // unknown number of concurrent threads, conservatively assumed ≥ 2. As a
 // soundness refinement for loops that may execute zero iterations, the
 // input graph C is unioned into the outgoing graph (the paper's equations
-// assume the body executes). The iterations are inherently sequential
-// (each consumes the E₀ of the previous one), so no speculation applies.
+// assume the body executes).
 func (x *exec) transferParFor(region *pfg.ParRegion, t *Triple, ctx *ctxEntry) (*Triple, error) {
 	a := x.a
 	if a.seqFast {
@@ -389,7 +235,7 @@ func (x *exec) transferParFor(region *pfg.ParRegion, t *Triple, ctx *ctxEntry) (
 		}
 		E0.Union(Ei)
 	}
-	x.recordParAnalysis(ctx, region.Node, iters, 2)
+	a.metrics.putPar(region.Node, ctx.id, iters, 2)
 
 	Cprime := Cout
 	if a.hasPrivates {

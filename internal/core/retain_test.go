@@ -47,10 +47,9 @@ func compileCorpus(t *testing.T, name string) *ir.Program {
 
 // TestResultDoesNotRetainEngine pins that a Result keeps only its
 // answers: once analyze returns, the engine state behind it (contexts,
-// call memo, speculation pendings, flow graphs, canonizer) is garbage,
-// even on a seeded run whose fixed point was pre-solved speculatively.
+// call memo, flow graphs, canonizer) is garbage, even on a seeded run.
 func TestResultDoesNotRetainEngine(t *testing.T) {
-	opts := Options{Mode: Multithreaded, FixpointWorkers: 2}
+	opts := Options{Mode: Multithreaded}
 	prog := compileCorpus(t, "barnes")
 	cold, harvest, err := AnalyzeWithSeeder(context.Background(), prog, opts, mapSeeder{})
 	if err != nil {

@@ -120,19 +120,6 @@ type ctxWarn struct {
 	text string
 }
 
-// warnRec buffers a per-context warning produced under speculation.
-type warnRec struct {
-	ctx  *ctxEntry
-	in   *ir.Instr
-	text string
-}
-
-// calleeRec buffers a callee-context edge produced under speculation.
-type calleeRec struct {
-	ctx    *ctxEntry
-	callee *ctxEntry
-}
-
 // AnalyzeWithSeeder is AnalyzeContext with a summary seeder attached:
 // contexts whose canonical key hits the seeder return their retained
 // fixed-point result without being solved. With a nil seeder it is
@@ -370,16 +357,11 @@ func (e *ctxEntry) addCallee(callee *ctxEntry) {
 	e.callees[callee] = true
 }
 
-// recordCallee records the callee-context edge of one call (buffered
-// under speculation). Only the harvest reads the edges, so they are kept
-// only when a seeder is attached.
+// recordCallee records the callee-context edge of one call. Only the
+// harvest reads the edges, so they are kept only when a seeder is
+// attached.
 func (x *exec) recordCallee(ctx *ctxEntry, callee *ctxEntry) {
-	a := x.a
-	if a.seeder == nil || ctx == nil {
-		return
-	}
-	if x.spec != nil {
-		x.spec.buf.callees = append(x.spec.buf.callees, calleeRec{ctx: ctx, callee: callee})
+	if x.a.seeder == nil || ctx == nil {
 		return
 	}
 	ctx.addCallee(callee)

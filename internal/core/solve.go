@@ -2,17 +2,6 @@
 // into the generic worklist solver of internal/dataflow, running over the
 // parallel flow graphs of internal/pfg, with the transfer functions of
 // Figures 3 and 4.
-//
-// Every transfer runs through an executor (exec). The ordinary executor
-// mutates the analysis state directly. A speculative executor — used by
-// the concurrent par fixed point in par.go — must leave all shared state
-// untouched: it replaces every interning or caching operation with a
-// lookup-only probe and aborts (via panic(specAbort{})) the moment a
-// transfer would have to create a location set, intern a new analysis
-// context, analyse a procedure body, or emit a warning. Fact and sample
-// records are buffered and replayed only if the speculation commits. A
-// committed speculation is therefore bit-identical to the sequential
-// execution it replaced.
 
 package core
 
@@ -27,20 +16,17 @@ import (
 	"mtpa/internal/ptgraph"
 )
 
-// exec is one execution capability over an Analysis: either the real
-// executor (spec == nil) or a speculative one. Each executor also owns
-// the reusable scratch state of the interprocedural hot path; every use
-// completes before analyzeContext can re-enter callOne on the same
-// executor, so plain per-exec reuse is safe (see interproc.go).
+// exec runs transfers over an Analysis. It owns the reusable scratch
+// state of the interprocedural hot path; every use completes before
+// analyzeContext can re-enter callOne on the same executor, so plain
+// per-exec reuse is safe (see interproc.go).
 type exec struct {
-	a    *Analysis
-	spec *specState
+	a *Analysis
 
 	// steps counts the chain transfers of the current procedure-context
 	// analysis against Options.Budget.MaxSolverSteps (nil when that budget
-	// is unset). analyzeContext swaps in a fresh counter per procedure;
-	// speculative executors share their coordinator's counter so par-region
-	// solves bill the enclosing procedure.
+	// is unset). analyzeContext swaps in a fresh counter per procedure, so
+	// par-region solves bill the enclosing procedure.
 	steps *atomic.Int64
 
 	// Call-site scratch: the reachability bitset and the graph builders
@@ -53,154 +39,17 @@ type exec struct {
 	sigBuf         []uint64
 }
 
-// specState buffers the side effects of a speculative solve.
-type specState struct {
-	buf specBuf
-
-	// phase marks a task speculation of the parallel pre-solve phase
-	// (phase.go). Where a par-thread speculation aborts on a callee that
-	// needs real work, a task speculation consumes the callee's frozen
-	// round-start result and records it in deps; the commit validates
-	// the recorded versions against the authoritative this-round state.
-	phase   bool
-	deps    []depRec
-	depSeen map[*ctxEntry]bool
-
-	// memoIdx is the speculation's local view of its buffered call-memo
-	// populations (buf.memos), so revisits within one speculative solve
-	// hit the memo exactly as the sequential solve they predict would.
-	memoIdx map[memoKey][]*memoEntry
-}
-
-// logDep records the first consumption of a context's current result by
-// a task speculation. Later consumptions are no-ops: the result is
-// frozen while the phase runs, so they would record the same version,
-// and first-consumption order is the order the commit must re-demand
-// dependencies in.
-func (s *specState) logDep(e *ctxEntry) {
-	if s.depSeen[e] {
-		return
-	}
-	if s.depSeen == nil {
-		s.depSeen = map[*ctxEntry]bool{}
-	}
-	s.depSeen[e] = true
-	s.deps = append(s.deps, depRec{ctx: e, ver: e.result.version})
-}
-
-// specBuf holds metric records, call-memo populations and memo counter
-// bumps produced during a speculation, replayed in commit order if the
-// speculation is valid.
-type specBuf struct {
-	facts      []factRec
-	pars       []parRec
-	memos      []memoRec
-	warns      []warnRec
-	callees    []calleeRec
-	memoHits   int
-	memoMisses int
-}
-
-type factRec struct {
-	key  FactKey
-	fact *Triple
-}
-
-type parRec struct {
-	node       *ir.Node
-	ctx        int
-	iterations int
-	threads    int
-}
-
-// specAbort is the panic payload that unwinds an impossible speculation.
-type specAbort struct{}
-
-func (x *exec) abort() {
-	panic(specAbort{})
-}
-
-// ---------------------------------------------------------------------------
-// Location-set table access: the speculative executor probes, the real
-// executor interns.
-
-func (x *exec) intern(b *locset.Block, offset, stride int64, pointer bool) locset.ID {
-	if x.spec != nil {
-		id, ok := x.a.tab.Probe(b, offset, stride, pointer)
-		if !ok {
-			x.abort()
-		}
-		return id
-	}
-	return x.a.tab.Intern(b, offset, stride, pointer)
-}
-
-func (x *exec) bump(id locset.ID, elem int64) locset.ID {
-	if x.spec != nil {
-		nid, ok := x.a.tab.ProbeBump(id, elem)
-		if !ok {
-			x.abort()
-		}
-		return nid
-	}
-	return x.a.tab.Bump(id, elem)
-}
-
-func (x *exec) elem(id locset.ID, off int64, pointer bool) locset.ID {
-	if x.spec != nil {
-		nid, ok := x.a.tab.ProbeElem(id, off, pointer)
-		if !ok {
-			x.abort()
-		}
-		return nid
-	}
-	return x.a.tab.Elem(id, off, pointer)
-}
-
-func (x *exec) heapBlock(in *ir.Instr) *locset.Block {
-	if x.spec != nil {
-		b, ok := x.a.tab.ProbeHeapBlock(in.Site)
-		if !ok {
-			x.abort()
-		}
-		return b
-	}
-	site := x.a.prog.Info.AllocSites[in.Site]
-	return x.a.tab.HeapBlock(in.Site, site.SiteType, "")
-}
-
-func (x *exec) ghost(idx int, summary bool) *locset.Block {
-	if x.spec != nil {
-		b, ok := x.a.tab.ProbeGhost(idx, summary)
-		if !ok {
-			x.abort()
-		}
-		return b
-	}
-	return x.a.tab.Ghost(idx, summary)
-}
-
-// warnOnce emits a per-instruction warning at most once per run. A
-// speculation that would emit a globally new warning aborts instead.
-// When a seeder is attached, the warning is additionally recorded on the
+// warnOnce emits a per-instruction warning at most once per run. When a
+// seeder is attached, the warning is additionally recorded on the
 // triggering context (before the global deduplication, so every context
-// that observes the condition carries it in its harvested summary); under
-// speculation the per-context record is buffered and replayed on commit.
+// that observes the condition carries it in its harvested summary).
 func (x *exec) warnOnce(in *ir.Instr, ctx *ctxEntry, format string, args ...any) {
 	a := x.a
 	if a.seeder != nil && ctx != nil {
-		text := fmt.Sprintf(format, args...)
-		if x.spec != nil {
-			x.spec.buf.warns = append(x.spec.buf.warns, warnRec{ctx: ctx, in: in, text: text})
-		} else {
-			ctx.recordWarn(in, text)
-		}
+		ctx.recordWarn(in, fmt.Sprintf(format, args...))
 	}
 	if a.warnedUnk[in] {
 		return
-	}
-	if x.spec != nil {
-		x.abort()
 	}
 	a.warnedUnk[in] = true
 	a.warnings = append(a.warnings, fmt.Sprintf(format, args...))
@@ -293,7 +142,7 @@ func (x *exec) solveBody(g *pfg.Graph, in *Triple, ctx *ctxEntry) (*Triple, erro
 		Schedule: dataflow.FIFO,
 	}
 	if ctx != nil {
-		s.Recorder = &factRecorder{x: x, ctx: ctx}
+		s.Recorder = &factRecorder{a: x.a, ctx: ctx}
 	}
 	if x.a.polling {
 		s.Poll = x.poll
@@ -326,19 +175,19 @@ func (x *exec) transferInstr(in *ir.Instr, t *Triple, ctx *ctxEntry) error {
 		src := derefPtr(ptgraph.NewSet(in.Src), t.C)
 		var b ptgraph.SetBuilder
 		for _, l := range src.IDs() {
-			b.Add(x.bump(l, in.Elem))
+			b.Add(x.a.tab.Bump(l, in.Elem))
 		}
 		x.assign(t, in.Dst, b.Build())
 	case ir.OpField:
 		src := derefPtr(ptgraph.NewSet(in.Src), t.C)
 		var b ptgraph.SetBuilder
 		for _, l := range src.IDs() {
-			b.Add(x.elem(l, in.Elem, in.PtrTarget))
+			b.Add(x.a.tab.Elem(l, in.Elem, in.PtrTarget))
 		}
 		x.assign(t, in.Dst, b.Build())
 	case ir.OpAlloc:
-		hb := x.heapBlock(in)
-		hl := x.intern(hb, 0, 0, in.PtrTarget)
+		hb := x.a.tab.HeapBlock(in.Site, x.a.prog.Info.AllocSites[in.Site].SiteType, "")
+		hl := x.a.tab.Intern(hb, 0, 0, in.PtrTarget)
 		x.assign(t, in.Dst, ptgraph.NewSet(hl))
 	case ir.OpNull, ir.OpUnknown:
 		x.assign(t, in.Dst, ptgraph.NewSet(locset.UnkID))

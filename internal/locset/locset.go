@@ -227,73 +227,6 @@ func (t *Table) InternDerived(b *Block, offset, stride int64, pointer bool) ID {
 // (do not modify the returned slice).
 func (t *Table) LocSetsInBlock(b *Block) []ID { return t.blockSets[b.ID] }
 
-// Probe is the lookup-only counterpart of Intern: it returns the ID for
-// ⟨block, offset, stride⟩ only when the location set is already interned
-// and the call would not mutate the table. A hit that would upgrade the
-// sticky pointer flag reports a miss, because Intern would have to write.
-// Probe never modifies the table, so concurrent readers (the speculative
-// par-thread solves in internal/core) may call it while no writer runs.
-func (t *Table) Probe(b *Block, offset, stride int64, pointer bool) (ID, bool) {
-	k := key{block: b.ID, offset: offset, stride: stride}
-	id, ok := t.index[k]
-	if !ok {
-		return 0, false
-	}
-	if pointer && !t.sets[id].Pointer {
-		return 0, false
-	}
-	return id, true
-}
-
-// ProbeBump is the lookup-only counterpart of Bump.
-func (t *Table) ProbeBump(id ID, elem int64) (ID, bool) {
-	if id == UnkID || elem == 0 {
-		return id, true
-	}
-	ls := t.sets[id]
-	s := gcd64(ls.Stride, elem)
-	o := ls.Offset
-	if s > 0 {
-		o = ((o % s) + s) % s
-	}
-	if o == ls.Offset && s == ls.Stride {
-		return id, true
-	}
-	return t.Probe(ls.Block, o, s, ls.Pointer)
-}
-
-// ProbeElem is the lookup-only counterpart of Elem.
-func (t *Table) ProbeElem(id ID, off int64, pointer bool) (ID, bool) {
-	if id == UnkID {
-		return UnkID, true
-	}
-	ls := t.sets[id]
-	no := ls.Offset + off
-	if ls.Stride > 0 {
-		no = ((no % ls.Stride) + ls.Stride) % ls.Stride
-	}
-	return t.Probe(ls.Block, no, ls.Stride, pointer)
-}
-
-// ProbeHeapBlock is the lookup-only counterpart of HeapBlock.
-func (t *Table) ProbeHeapBlock(site int) (*Block, bool) {
-	b, ok := t.heapBlocks[site]
-	return b, ok
-}
-
-// ProbeGhost is the lookup-only counterpart of Ghost: it reports a miss
-// when the pooled ghost with the given canonical index does not exist yet.
-func (t *Table) ProbeGhost(idx int, summary bool) (*Block, bool) {
-	pool := t.ghostPool
-	if summary {
-		pool = t.summaryPool
-	}
-	if idx >= len(pool) {
-		return nil, false
-	}
-	return pool[idx], true
-}
-
 // SymBlock returns the memory block for a variable symbol.
 func (t *Table) SymBlock(sym *ast.Symbol) *Block {
 	if b, ok := t.symBlocks[sym]; ok {

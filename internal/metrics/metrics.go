@@ -267,10 +267,9 @@ type TimeRow struct {
 
 // CacheStats summarises the reuse machinery for one program: analysis
 // contexts and procedure analyses (the context cache of Definition 2) and
-// the call-site transfer memo's hit/miss counters. The hit/miss split can
-// vary with the speculation schedule of the concurrent par solver — the
-// analysis results never do — so these counts are reported, not golden-
-// pinned.
+// the call-site transfer memo's hit/miss counters. The engine is
+// sequential, so every count is a deterministic function of the program
+// (cmd/mttables pins them in cache.golden).
 type CacheStats struct {
 	Name         string
 	Contexts     int
@@ -301,9 +300,9 @@ func (c CacheStats) HitRate() float64 {
 // BudgetStats summarises the robustness counters of one analysis run:
 // total worklist chain transfers (tracked only when a context or budget is
 // attached to the run) and the procedure contexts that exceeded a resource
-// budget and degraded to the flow-insensitive result. Like the memo split,
-// the step count can vary with the speculation schedule, so these numbers
-// are reported, not golden-pinned.
+// budget and degraded to the flow-insensitive result. The step count is
+// deterministic for a given program and budget; a MaxWallTime budget
+// makes the degradations depend on machine speed.
 type BudgetStats struct {
 	Name        string
 	SolverSteps int64

@@ -60,8 +60,8 @@ var (
 )
 
 // recordDivergence appends one divergence to the bounded package log.
-// Shadow-mode graphs are also exercised from the concurrent speculative
-// par solves, hence the mutex.
+// Concurrent analyses (AnalyzeAll runs programs side by side) may all
+// record into the log, hence the mutex.
 func recordDivergence(op string, src locset.ID, format string, args ...any) {
 	divMu.Lock()
 	defer divMu.Unlock()

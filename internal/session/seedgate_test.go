@@ -68,36 +68,3 @@ func TestSessionMemcpyGate(t *testing.T) {
 		}
 	})
 }
-
-// TestSessionWarmWithFixpointWorkers runs the warm-edit sweep with a
-// 4-worker fixpoint pool: the seeder must behave exactly as it does
-// sequentially (same hit evidence, warm ≡ cold fingerprints), because
-// the speculation phase never touches a context whose seed has not been
-// applied yet.
-func TestSessionWarmWithFixpointWorkers(t *testing.T) {
-	opts := mtpa.Options{Mode: mtpa.Multithreaded, FixpointWorkers: 4}
-	p, err := bench.Load("magic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := mtpa.NewSession(opts)
-	if _, err := sess.Update("magic.clk", p.Source); err != nil {
-		t.Fatal(err)
-	}
-	edits := procEdits(t, "magic.clk", p.Source)
-	up, err := sess.Update("magic.clk", edits[len(edits)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.Stats.SeederDisabled || up.Stats.Seed.Hits == 0 {
-		t.Fatalf("warm re-analysis under a fixpoint pool lost its seed hits: %+v", up.Stats)
-	}
-	if got, want := up.Result.Fingerprint(), coldFingerprint(t, "magic.clk", edits[len(edits)-1], opts); got != want {
-		t.Fatalf("warm fingerprint %s != cold %s under FixpointWorkers=4", got, want)
-	}
-	// The same edit analysed sequentially must land on the same bytes.
-	seqOpts := mtpa.Options{Mode: mtpa.Multithreaded, FixpointWorkers: 1}
-	if got, want := up.Result.Fingerprint(), coldFingerprint(t, "magic.clk", edits[len(edits)-1], seqOpts); got != want {
-		t.Fatalf("FixpointWorkers=4 fingerprint %s != FixpointWorkers=1 %s", got, want)
-	}
-}

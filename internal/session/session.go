@@ -161,7 +161,7 @@ func (s *Session) Update(filename, src string) (*Compiled, *core.Result, UpdateS
 // should be O(1) anyway.
 //
 // The result holds the run's answers only: the engine state that built
-// them (contexts, call memo, speculation, flow graphs, canonizer) is
+// them (contexts, call memo, flow graphs, canonizer) is
 // garbage once the analysis returns, and the ghost expansion queries read
 // is computed before it does. The context summaries the run harvests are
 // stored as their own "sum|" entries, not through the result. The

@@ -84,7 +84,7 @@ type TieredResult struct {
 // AnalyzeTiered answers the query in two tiers. It returns immediately:
 // the TieredResult carries the flow-insensitive tier-0 answer, and a
 // background goroutine runs the flow-sensitive refinement — with the
-// given Options, honouring Budget and FixpointWorkers, cancellable
+// given Options, honouring Budget, cancellable
 // through ctx or Cancel. The refinement is delivered through Done /
 // Refined / Poll / Notify; its failure taxonomy is AnalyzeContext's.
 func (p *Program) AnalyzeTiered(ctx context.Context, opts Options) *TieredResult {

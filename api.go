@@ -29,11 +29,7 @@ type PointKey = core.PointKey
 // sets — temporaries and procedure return slots — for use with
 // Graph.FormatFiltered when rendering points-to graphs for people.
 func (p *Program) TempFilter() func(LocSetID) bool {
-	tab := p.IR.Table
-	return func(id LocSetID) bool {
-		k := tab.Get(id).Block.Kind
-		return k == locset.KindTemp || k == locset.KindRet
-	}
+	return p.IR.Table.IsTemp
 }
 
 // ParSite describes one parallel construct (par block, parallel loop or

@@ -47,7 +47,6 @@ import (
 	"mtpa/internal/ast"
 	"mtpa/internal/bench"
 	"mtpa/internal/interp"
-	"mtpa/internal/locset"
 	"mtpa/internal/metrics"
 	"mtpa/internal/pfg"
 	"mtpa/internal/race"
@@ -307,10 +306,7 @@ func renderPost(out, errOut io.Writer, cfg config, opts mtpa.Options, name, src 
 	tab := prog.Table()
 	if cfg.summary {
 		fmt.Fprintf(out, "== %s analysis: points-to graph at main's exit ==\n", opts.Mode)
-		fmt.Fprintln(out, res.MainOut.C.FormatFiltered(tab, func(id mtpa.LocSetID) bool {
-			k := tab.Get(id).Block.Kind
-			return k == locset.KindTemp || k == locset.KindRet
-		}))
+		fmt.Fprintln(out, res.MainOut.C.FormatFiltered(tab, tab.IsTemp))
 		fmt.Fprintf(out, "(%d contexts, %d fixed-point rounds)\n", res.ContextsTotal(), res.Rounds)
 	}
 

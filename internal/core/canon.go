@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,8 +34,19 @@ type CanonLoc struct {
 	Pointer bool
 }
 
-func (l CanonLoc) String() string {
-	return fmt.Sprintf("%s|%d|%d|%t", l.Block, l.Offset, l.Stride, l.Pointer)
+// String renders the location set as "block|offset|stride|pointer".
+// The rendering is hashed into context keys, which are stored keys of
+// the session's summary cache: it must stay byte-identical.
+func (l CanonLoc) String() string { return string(l.appendTo(nil)) }
+
+func (l CanonLoc) appendTo(b []byte) []byte {
+	b = append(b, l.Block...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, l.Offset, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, l.Stride, 10)
+	b = append(b, '|')
+	return strconv.AppendBool(b, l.Pointer)
 }
 
 // CanonEdge is one points-to edge between canonically named location sets.
@@ -318,14 +330,26 @@ func (c *canonizer) encodeGraph(g *ptgraph.Graph) ([]CanonEdge, bool) {
 	return edges, true
 }
 
+// sortEdges orders edges by their rendered source, then destination.
+// Each location is rendered once per sort, not once per comparison.
 func sortEdges(edges []CanonEdge) {
-	sort.Slice(edges, func(i, j int) bool {
-		si, sj := edges[i].Src.String(), edges[j].Src.String()
-		if si != sj {
-			return si < sj
+	type keyed struct {
+		src, dst string
+		e        CanonEdge
+	}
+	ks := make([]keyed, len(edges))
+	for i, e := range edges {
+		ks[i] = keyed{src: e.Src.String(), dst: e.Dst.String(), e: e}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := strings.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return edges[i].Dst.String() < edges[j].Dst.String()
+		return strings.Compare(a.dst, b.dst)
 	})
+	for i := range ks {
+		edges[i] = ks[i].e
+	}
 }
 
 // resolveGraph rebuilds a graph from canonical edges in their sorted
@@ -409,20 +433,36 @@ func (c *canonizer) ctxKey(fn *ir.Func, Cp, Ip *ptgraph.Graph, ghostSrc map[*loc
 	if !ok {
 		return "", false
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "fn\x00%s\x00C", fn.Name)
-	for _, e := range cp {
-		fmt.Fprintf(h, "\x00%s>%s", e.Src, e.Dst)
-	}
-	h.Write([]byte("\x00I"))
-	for _, e := range ip {
-		fmt.Fprintf(h, "\x00%s>%s", e.Src, e.Dst)
-	}
-	h.Write([]byte("\x00G"))
+	b := append([]byte("fn\x00"), fn.Name...)
+	b = append(b, "\x00C"...)
+	b = appendEdges(b, cp)
+	b = append(b, "\x00I"...)
+	b = appendEdges(b, ip)
+	b = append(b, "\x00G"...)
 	for _, g := range ghosts {
-		fmt.Fprintf(h, "\x00%s=%s", g.Ghost, strings.Join(g.Srcs, ","))
+		b = append(b, 0)
+		b = append(b, g.Ghost...)
+		b = append(b, '=')
+		for i, s := range g.Srcs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, s...)
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), true
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:16]), true
+}
+
+// appendEdges renders edges as "\x00src>dst" each, for ctxKey.
+func appendEdges(b []byte, edges []CanonEdge) []byte {
+	for _, e := range edges {
+		b = append(b, 0)
+		b = e.Src.appendTo(b)
+		b = append(b, '>')
+		b = e.Dst.appendTo(b)
+	}
+	return b
 }
 
 // encodeInstr names an instruction structurally; the ref map is built on
@@ -462,16 +502,26 @@ func (c *canonizer) resolveNode(fnName string, nodeID int) (*ir.Node, bool) {
 	return fn.AllNodes[nodeID], true
 }
 
-// BlockFootprint returns the sorted canonical keys of the global,
-// private-global and string-literal blocks referenced by fn's IR
-// operands. The session folds this footprint into a procedure's
-// dependency hash: it pins down which extern-owned blocks the procedure's
-// lowered form names (and with which kind, type and literal occurrence),
-// so an edit that re-identifies any of them — a type change, a `private`
-// flip, a same-content literal shifting its occurrence index — changes
-// the hash and invalidates exactly the procedures that can observe it.
-func BlockFootprint(prog *ir.Program, fn *ir.Func) []string {
+// BlockFootprints returns, per function of prog, the sorted canonical
+// keys of the global, private-global and string-literal blocks
+// referenced by its IR operands. The session folds this footprint into a
+// procedure's dependency hash: it pins down which extern-owned blocks the
+// procedure's lowered form names (and with which kind, type and literal
+// occurrence), so an edit that re-identifies any of them — a type
+// change, a `private` flip, a same-content literal shifting its
+// occurrence index — changes the hash and invalidates exactly the
+// procedures that can observe it. One canonizer serves every function.
+func BlockFootprints(prog *ir.Program) map[*ir.Func][]string {
 	c := newCanonizer(prog)
+	out := make(map[*ir.Func][]string, len(prog.Funcs))
+	for _, fn := range prog.Funcs {
+		out[fn] = c.footprint(fn)
+	}
+	return out
+}
+
+func (c *canonizer) footprint(fn *ir.Func) []string {
+	prog := c.prog
 	seen := map[string]bool{}
 	addID := func(id locset.ID) {
 		if id == ir.NoLoc || id == locset.UnkID {

@@ -350,6 +350,10 @@ type Result struct {
 	contextsTotal int
 	contextsByFn  map[*ir.Func]int
 	seedStats     SeedStats
+
+	// fp memoises Fingerprint.
+	fpOnce sync.Once
+	fp     string
 }
 
 // Freeze marks every points-to graph the result exposes as shared

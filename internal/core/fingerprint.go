@@ -28,7 +28,27 @@ import (
 // (those ExpandGhosts cannot map back to actual blocks) are anonymised to
 // their ⟨offset, stride, pointer⟩ shape: ghost pool indices depend on
 // context creation order, which is a run-shape artifact.
+//
+// A result never changes once analysis returns, so the digest is derived
+// on the first call and memoised: every later call, from any goroutine,
+// reads the stored value.
 func (r *Result) Fingerprint() string {
+	fp, _ := r.FingerprintDerived()
+	return fp
+}
+
+// FingerprintDerived is Fingerprint that also reports whether this call
+// derived the digest (true) or read the memo (false), so a serving layer
+// can count its memo hits.
+func (r *Result) FingerprintDerived() (fp string, derived bool) {
+	r.fpOnce.Do(func() {
+		r.fp = r.fingerprint()
+		derived = true
+	})
+	return r.fp, derived
+}
+
+func (r *Result) fingerprint() string {
 	h := sha256.New()
 	tab := r.Table
 

@@ -185,6 +185,14 @@ func (t *Table) NumBlocks() int { return len(t.blocks) }
 // Get returns the location set for an ID.
 func (t *Table) Get(id ID) LocSet { return t.sets[id] }
 
+// IsTemp reports whether a location set lives in a compiler-generated
+// block — a temporary or a procedure return slot — which renderings of
+// points-to graphs for people hide.
+func (t *Table) IsTemp(id ID) bool {
+	k := t.sets[id].Block.Kind
+	return k == KindTemp || k == KindRet
+}
+
 // Blocks returns all blocks (do not modify).
 func (t *Table) Blocks() []*Block { return t.blocks }
 

@@ -3,7 +3,9 @@
 // analysis run, these aggregate across a daemon's lifetime: requests and
 // latency per tenant, plus the admission-control outcomes (timeouts,
 // budget degradations, refinement completions) that the /metrics
-// endpoint reports next to the shared store's artifact counters.
+// endpoint reports next to the shared store's artifact counters, and
+// how the daemon's served answers were obtained: derived from a
+// published result, or read from its answer memo.
 
 package metrics
 
@@ -26,6 +28,35 @@ type ServingCounters struct {
 	refCompleted   int64
 	refCancelled   int64
 	tokensExpired  int64
+	answers        [numAnswerKinds]AnswerStats
+}
+
+// AnswerKind is one served form of a published result.
+type AnswerKind int
+
+// The served answer kinds, each memoised separately per result.
+const (
+	AnswerFingerprint AnswerKind = iota
+	AnswerGraph
+	AnswerRaces
+	numAnswerKinds
+)
+
+// AnswerStats counts how one kind of served answer was obtained: derived
+// from the result (at most once per published result) or served from
+// the result's answer memo.
+type AnswerStats struct {
+	Derived int64 `json:"derived"`
+	Memo    int64 `json:"memo"`
+}
+
+// AnswersSnapshot is the per-kind view of the answer counters. The JSON
+// names (answers.fingerprint.derived, answers.races.memo, ...) are
+// stable.
+type AnswersSnapshot struct {
+	Fingerprint AnswerStats `json:"fingerprint"`
+	Graph       AnswerStats `json:"graph"`
+	Races       AnswerStats `json:"races"`
 }
 
 type tenantCounters struct {
@@ -112,6 +143,18 @@ func (c *ServingCounters) RefinementFinished(cancelled bool) {
 	c.mu.Unlock()
 }
 
+// Answer records one served answer of the given kind, derived by this
+// request or read from the memo.
+func (c *ServingCounters) Answer(kind AnswerKind, derived bool) {
+	c.mu.Lock()
+	if derived {
+		c.answers[kind].Derived++
+	} else {
+		c.answers[kind].Memo++
+	}
+	c.mu.Unlock()
+}
+
 // DropTenant discards a closed tenant's counters (its requests remain in
 // the daemon totals).
 func (c *ServingCounters) DropTenant(tenant string) {
@@ -151,6 +194,7 @@ type ServingSnapshot struct {
 	RefinementsCompleted int64                    `json:"refinements_completed"`
 	RefinementsCancelled int64                    `json:"refinements_cancelled"`
 	TokensExpired        int64                    `json:"tokens_expired"`
+	Answers              AnswersSnapshot          `json:"answers"`
 	Tenants              map[string]TenantServing `json:"tenants"`
 }
 
@@ -166,7 +210,12 @@ func (c *ServingCounters) Snapshot() ServingSnapshot {
 		RefinementsCompleted: c.refCompleted,
 		RefinementsCancelled: c.refCancelled,
 		TokensExpired:        c.tokensExpired,
-		Tenants:              make(map[string]TenantServing, len(c.tenants)),
+		Answers: AnswersSnapshot{
+			Fingerprint: c.answers[AnswerFingerprint],
+			Graph:       c.answers[AnswerGraph],
+			Races:       c.answers[AnswerRaces],
+		},
+		Tenants: make(map[string]TenantServing, len(c.tenants)),
 	}
 	for name, tc := range c.tenants {
 		s.Tenants[name] = tc.view()

@@ -15,7 +15,7 @@ package parser
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 
 	"mtpa/internal/ast"
 	"mtpa/internal/token"
@@ -111,11 +111,22 @@ func SegmentTokens(toks []token.Token) (segs []Segment, ok bool) {
 // hashSegment hashes a segment's tokens: kinds, literals and
 // anchor-relative positions, so the hash is invariant under whole-segment
 // line shifts but sensitive to any token or intra-segment layout change
-// (positions appear in diagnostics and analysis output).
+// (positions appear in diagnostics and analysis output). Each token
+// hashes as "kind\x00lit\x00line:col\n"; the hash keys cached ASTs and
+// feeds every dependency hash, so those bytes must stay byte-identical.
 func hashSegment(toks []token.Token, anchor int) string {
 	h := sha256.New()
+	var b []byte
 	for _, t := range toks {
-		fmt.Fprintf(h, "%d\x00%s\x00%d:%d\n", int(t.Kind), t.Lit, t.Pos.Line-anchor, t.Pos.Col)
+		b = strconv.AppendInt(b[:0], int64(t.Kind), 10)
+		b = append(b, 0)
+		b = append(b, t.Lit...)
+		b = append(b, 0)
+		b = strconv.AppendInt(b, int64(t.Pos.Line-anchor), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(t.Pos.Col), 10)
+		b = append(b, '\n')
+		h.Write(b)
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -8,6 +8,7 @@
 package ptgraph
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -112,15 +113,8 @@ func NewSet(ids ...locset.ID) Set {
 		return intern(ids)
 	}
 	sorted := append([]locset.ID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	w := 1
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] != sorted[i-1] {
-			sorted[w] = sorted[i]
-			w++
-		}
-	}
-	return intern(sorted[:w])
+	slices.Sort(sorted)
+	return intern(slices.Compact(sorted))
 }
 
 // Len returns the number of elements.
@@ -332,15 +326,8 @@ func (b *SetBuilder) Build() Set {
 	if len(b.ids) == 0 {
 		return Set{}
 	}
-	sort.Slice(b.ids, func(i, j int) bool { return b.ids[i] < b.ids[j] })
-	w := 1
-	for i := 1; i < len(b.ids); i++ {
-		if b.ids[i] != b.ids[i-1] {
-			b.ids[w] = b.ids[i]
-			w++
-		}
-	}
-	s := intern(b.ids[:w])
+	slices.Sort(b.ids)
+	s := intern(slices.Compact(b.ids))
 	b.ids = b.ids[:0]
 	return s
 }

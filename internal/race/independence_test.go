@@ -1,12 +1,13 @@
-package race
+package race_test
 
 import (
 	"testing"
 
 	"mtpa"
+	"mtpa/internal/race"
 )
 
-func independence(t *testing.T, src string) []*Construct {
+func independence(t *testing.T, src string) []*race.Construct {
 	t.Helper()
 	prog, err := mtpa.Compile("indep.clk", src)
 	if err != nil {
@@ -16,7 +17,7 @@ func independence(t *testing.T, src string) []*Construct {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	return New(prog.IR, res).CheckIndependence()
+	return race.New(prog.IR, res).CheckIndependence()
 }
 
 func TestIndependentDivideAndConquer(t *testing.T) {

@@ -1,4 +1,4 @@
-package race
+package race_test
 
 import (
 	"strings"

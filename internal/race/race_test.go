@@ -1,13 +1,14 @@
-package race
+package race_test
 
 import (
 	"strings"
 	"testing"
 
 	"mtpa"
+	"mtpa/internal/race"
 )
 
-func detect(t *testing.T, src string) (*mtpa.Program, []*Race) {
+func detect(t *testing.T, src string) (*mtpa.Program, []*race.Race) {
 	t.Helper()
 	prog, err := mtpa.Compile("race.clk", src)
 	if err != nil {
@@ -17,7 +18,7 @@ func detect(t *testing.T, src string) (*mtpa.Program, []*Race) {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	return prog, New(prog.IR, res).Detect()
+	return prog, race.New(prog.IR, res).Detect()
 }
 
 func TestDetectsFigure1Race(t *testing.T) {
@@ -54,7 +55,7 @@ int main() {
 	}
 }
 
-func nameOf(t *testing.T, r *Race) string {
+func nameOf(t *testing.T, r *race.Race) string {
 	var parts []string
 	for range r.Shared {
 		parts = append(parts, "p")
@@ -62,7 +63,7 @@ func nameOf(t *testing.T, r *Race) string {
 	return strings.Join(parts, ",")
 }
 
-func raceStrings(rs []*Race) []string {
+func raceStrings(rs []*race.Race) []string {
 	var out []string
 	for _, r := range rs {
 		out = append(out, r.String())

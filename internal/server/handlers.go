@@ -31,7 +31,6 @@ import (
 	"mtpa"
 	"mtpa/internal/errs"
 	"mtpa/internal/metrics"
-	"mtpa/internal/race"
 )
 
 // Handler returns the daemon's HTTP handler.
@@ -260,11 +259,12 @@ func (s *Server) respondRefinement(w http.ResponseWriter, r *http.Request, ref *
 	s.markClaimed(ref)
 	switch {
 	case rerr == nil:
+		ans := ref.update.Answers()
 		resp.Status = "done"
 		resp.Refined = &refinedAnswer{
-			Fingerprint: res.Fingerprint(),
+			Fingerprint: s.fingerprint(ans),
 			Rounds:      res.Rounds,
-			Graph:       res.MainOut.C.FormatFiltered(ref.update.Program.Table(), ref.update.Program.TempFilter()),
+			Graph:       s.graph(ans),
 			ElapsedMs:   float64(time.Since(ref.started).Nanoseconds()) / 1e6,
 		}
 		for _, d := range res.Degraded {
@@ -375,24 +375,46 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, t *tenant) 
 		return
 	}
 
-	resp.Status, resp.Tier = "done", "refined"
-	resp.Fingerprint = res.Fingerprint()
-	for _, d := range res.Degraded {
-		resp.Degraded = append(resp.Degraded, d.Proc+": "+d.Reason)
-	}
+	ans := ref.update.Answers()
 	switch req.Kind {
 	case "", "points_to":
-		resp.Graph = res.MainOut.C.FormatFiltered(prog.Table(), prog.TempFilter())
+		resp.Graph = s.graph(ans)
 	case "races":
-		for _, rc := range race.New(prog.IR, res).Detect() {
-			resp.Races = append(resp.Races, rc.String())
-		}
+		resp.Races = s.races(ans)
 		resp.RaceCount = len(resp.Races)
 	default:
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown query kind %q", req.Kind))
 		return
 	}
+	resp.Status, resp.Tier = "done", "refined"
+	resp.Fingerprint = s.fingerprint(ans)
+	for _, d := range res.Degraded {
+		resp.Degraded = append(resp.Degraded, d.Proc+": "+d.Reason)
+	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// The refined answers come from the published result's answer memo
+// (mtpa.Answers): each kind is derived once per result, and every later
+// request only encodes it. These wrappers count which of the two each
+// request did.
+
+func (s *Server) fingerprint(ans *mtpa.Answers) string {
+	fp, derived := ans.Fingerprint()
+	s.counters.Answer(metrics.AnswerFingerprint, derived)
+	return fp
+}
+
+func (s *Server) graph(ans *mtpa.Answers) string {
+	g, derived := ans.Graph()
+	s.counters.Answer(metrics.AnswerGraph, derived)
+	return g
+}
+
+func (s *Server) races(ans *mtpa.Answers) []string {
+	races, derived := ans.Races()
+	s.counters.Answer(metrics.AnswerRaces, derived)
+	return races
 }
 
 // --- metrics ---

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -19,10 +20,20 @@ import (
 // do runs one request through the daemon mux and decodes the JSON body.
 func do(t *testing.T, h http.Handler, method, path string, body any) (int, map[string]any) {
 	t.Helper()
+	code, out, err := serve(h, method, path, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, out
+}
+
+// serve is do for goroutines other than the test's own: it returns the
+// failure instead of stopping the test.
+func serve(h http.Handler, method, path string, body any) (int, map[string]any, error) {
 	var buf bytes.Buffer
 	if body != nil {
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			t.Fatal(err)
+			return 0, nil, err
 		}
 	}
 	req := httptest.NewRequest(method, path, &buf)
@@ -30,9 +41,9 @@ func do(t *testing.T, h http.Handler, method, path string, body any) (int, map[s
 	h.ServeHTTP(rec, req)
 	out := map[string]any{}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatalf("%s %s: non-JSON body %q", method, path, rec.Body.String())
+		return 0, nil, fmt.Errorf("%s %s: non-JSON body %q", method, path, rec.Body.String())
 	}
-	return rec.Code, out
+	return rec.Code, out, nil
 }
 
 func mustLoad(t *testing.T, name string) string {

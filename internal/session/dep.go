@@ -27,8 +27,8 @@ package session
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mtpa/internal/core"
@@ -58,11 +58,14 @@ type segKey struct {
 	anchor int
 }
 
-// computeDeps returns the per-procedure dependency hashes.
+// computeDeps returns the per-procedure dependency hashes. The hashes
+// stamp stored summaries, so the bytes they cover must stay
+// byte-identical (TestSessionDigestsPinned pins them).
 func computeDeps(in *depInput) map[string]string {
+	footprints := core.BlockFootprints(in.irProg)
 	bases := map[string]string{}
 	for _, fn := range in.irProg.Funcs {
-		bases[fn.Name] = baseHash(in, fn)
+		bases[fn.Name] = baseHash(in, fn, footprints[fn])
 	}
 
 	callees := callGraph(in.irProg)
@@ -74,33 +77,50 @@ func computeDeps(in *depInput) map[string]string {
 			names = append(names, q)
 		}
 		sort.Strings(names)
-		h := sha256.New()
-		fmt.Fprintf(h, "self\x00%s\n", bases[fn.Name])
+		b := appendFields(nil, "self", bases[fn.Name])
 		for _, q := range names {
-			fmt.Fprintf(h, "callee\x00%s\x00%s\n", q, bases[q])
+			b = appendFields(b, "callee", q, bases[q])
 		}
-		deps[fn.Name] = hex.EncodeToString(h.Sum(nil)[:16])
+		deps[fn.Name] = digest(b)
 	}
 	return deps
 }
 
 // baseHash folds one procedure's own dependencies (everything except its
-// callees).
-func baseHash(in *depInput, fn *ir.Func) string {
-	h := sha256.New()
+// callees); footprint is its core.BlockFootprints entry.
+func baseHash(in *depInput, fn *ir.Func, footprint []string) string {
 	seg := in.procSegs[fn.Name]
-	fmt.Fprintf(h, "proc\x00%s\x00%d\n", seg.hash, seg.anchor)
-	fmt.Fprintf(h, "env\x00%s\n", in.envHash)
-	for _, key := range core.BlockFootprint(in.irProg, fn) {
-		fmt.Fprintf(h, "ref\x00%s\n", key)
+	b := appendFields(nil, "proc", seg.hash, strconv.Itoa(seg.anchor))
+	b = appendFields(b, "env", in.envHash)
+	for _, key := range footprint {
+		b = appendFields(b, "ref", key)
 		if name, ok := globalKeyName(key); ok {
-			fmt.Fprintf(h, "refseg\x00%s\x00%s\n", name, in.globalSegs[name])
+			b = appendFields(b, "refseg", name, in.globalSegs[name])
 		}
 	}
 	if fn == in.irProg.Main {
-		fmt.Fprintf(h, "inits\x00%s\n", in.allGlobalsHash)
+		b = appendFields(b, "inits", in.allGlobalsHash)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return digest(b)
+}
+
+// appendFields appends one hashed record: the fields joined by NUL and
+// terminated by a newline.
+func appendFields(b []byte, fields ...string) []byte {
+	for i, f := range fields {
+		if i > 0 {
+			b = append(b, 0)
+		}
+		b = append(b, f...)
+	}
+	return append(b, '\n')
+}
+
+// digest is the session's short content hash: the first 16 bytes of the
+// SHA-256 of b, hex-encoded.
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:16])
 }
 
 // globalKeyName extracts the variable name from a canonical global or

@@ -163,12 +163,16 @@ func (s *Session) Update(filename, src string) (*Compiled, *core.Result, UpdateS
 // The result holds the run's answers only: the engine state that built
 // them (contexts, call memo, flow graphs, canonizer) is
 // garbage once the analysis returns, and the ghost expansion queries read
-// is computed before it does. The context summaries the run harvests are
-// stored as their own "sum|" entries, not through the result. The
+// is computed before it does. The served forms of those answers
+// (fingerprint, rendered graph, race report) are derived lazily, once,
+// into the Answers memo beside the result, so every hit and every tenant
+// sharing the entry reuses them. The context summaries the run harvests
+// are stored as their own "sum|" entries, not through the result. The
 // store's capacity counts entries, not bytes.
 type cachedRun struct {
 	compiled *Compiled
 	result   *core.Result
+	answers  *Answers
 	fiGraph  *ptgraph.Graph
 	fiIters  int
 }
@@ -201,6 +205,9 @@ type Staged struct {
 	seeder core.Seeder
 	deps   map[string]string
 	resKey string
+	// answers is the published run's answer memo, set by a successful
+	// RunStaged (the cached run's on a whole-file hit).
+	answers *Answers
 
 	fiOnce  sync.Once
 	fiGraph *ptgraph.Graph
@@ -217,6 +224,17 @@ func (st *Staged) Refined() *core.Result {
 		return nil
 	}
 	return st.cached.result
+}
+
+// Answers returns the served-answer memo of the staged update's result:
+// the cached run's on a whole-file hit, the published run's after a
+// successful RunStaged, nil before that or after a failure. Call it on
+// the goroutine that ran RunStaged (or after synchronising with it).
+func (st *Staged) Answers() *Answers {
+	if st.cached != nil {
+		return st.cached.answers
+	}
+	return st.answers
 }
 
 // FlowInsens returns the staged program's flow-insensitive points-to
@@ -330,7 +348,8 @@ func (s *Session) RunStaged(ctx context.Context, st *Staged, fi *ptgraph.Graph) 
 	// Freeze the result's graphs too: a published result is served to
 	// every later hit, and concurrent readers Clone or format its graphs.
 	res.Freeze()
-	s.store.Put(st.resKey, &cachedRun{compiled: st.comp, result: res, fiGraph: fiG, fiIters: fiIters})
+	st.answers = &Answers{res: res}
+	s.store.Put(st.resKey, &cachedRun{compiled: st.comp, result: res, answers: st.answers, fiGraph: fiG, fiIters: fiIters})
 	s.finish(&stats)
 	return res, stats, nil
 }
@@ -479,13 +498,13 @@ func (s *Session) compileSegmented(filename, src string, stats *UpdateStats) (c 
 	// Resolve the naming environment: every non-procedure segment, hashed
 	// with anchors (their positions appear in diagnostics and lowered
 	// initialisers).
-	envH := sha256.New()
+	var envB []byte
 	for _, seg := range segs {
 		if seg.Kind != parser.SegProc {
-			fmt.Fprintf(envH, "%s|%d\n", seg.Hash, seg.Anchor)
+			envB = appendSeg(envB, seg)
 		}
 	}
-	envHash := hex.EncodeToString(envH.Sum(nil)[:16])
+	envHash := digest(envB)
 	envKey := "env|" + filename + "|" + envHash
 
 	var env *envState
@@ -522,13 +541,13 @@ func (s *Session) compileSegmented(filename, src string, stats *UpdateStats) (c 
 	astProg := &ast.Program{File: filename}
 	procSegs := map[string]segKey{}
 	globalSegs := map[string]string{}
-	allGlobalsH := sha256.New()
+	var allGlobalsB []byte
 	// The dependency-hash environment component covers struct definitions,
 	// prototypes and forward declarations only — global declarations are
 	// tracked per-name (globalSegs) so a global edit flushes just its
 	// referents, not every summary. Distinct from envHash above, which
 	// keys the compile-stage environment and must cover everything.
-	depEnvH := sha256.New()
+	var depEnvB []byte
 	for _, seg := range segs {
 		var decls *segDecls
 		if seg.Kind == parser.SegProc {
@@ -561,10 +580,10 @@ func (s *Session) compileSegmented(filename, src string, stats *UpdateStats) (c 
 				globalSegs[g.Name] = seg.Hash
 			}
 			if len(decls.globals) > 0 {
-				fmt.Fprintf(allGlobalsH, "%s|%d\n", seg.Hash, seg.Anchor)
+				allGlobalsB = appendSeg(allGlobalsB, seg)
 			}
 			if len(decls.globals) == 0 || len(decls.structs) > 0 || len(decls.funcs) > 0 {
-				fmt.Fprintf(depEnvH, "%s|%d\n", seg.Hash, seg.Anchor)
+				depEnvB = appendSeg(depEnvB, seg)
 			}
 		}
 		astProg.Structs = append(astProg.Structs, decls.structs...)
@@ -596,10 +615,18 @@ func (s *Session) compileSegmented(filename, src string, stats *UpdateStats) (c 
 		irProg:         irProg,
 		procSegs:       procSegs,
 		globalSegs:     globalSegs,
-		envHash:        hex.EncodeToString(depEnvH.Sum(nil)[:16]),
-		allGlobalsHash: hex.EncodeToString(allGlobalsH.Sum(nil)[:16]),
+		envHash:        digest(depEnvB),
+		allGlobalsHash: digest(allGlobalsB),
 	})
 	return &Compiled{File: filename, AST: astProg, Info: info, IR: irProg, Warnings: warnings}, deps, nil
+}
+
+// appendSeg appends a segment's hashed identity, "hash|anchor\n".
+func appendSeg(b []byte, seg parser.Segment) []byte {
+	b = append(b, seg.Hash...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(seg.Anchor), 10)
+	return append(b, '\n')
 }
 
 // parseSegment parses one segment's tokens against the shared struct

@@ -133,7 +133,29 @@ type TieredUpdate struct {
 	// Program is the compiled program, as from Compile.
 	Program *Program
 
-	stats UpdateStats
+	stats   UpdateStats
+	answers *Answers
+}
+
+// Answers derives and memoises the served forms of a published result —
+// its fingerprint, the rendered points-to graph at main's exit and the
+// race report — each at most once per result, shared by every update
+// (of any session over the same store) that the result serves. See
+// session.Answers.
+type Answers = session.Answers
+
+// Answers returns the served-answer memo of the refined result once the
+// refinement has landed successfully; nil while it is running or after
+// it failed. Whole-file cache hits, in this session or any other sharing
+// the store, return the same memo as the update that published the
+// result.
+func (u *TieredUpdate) Answers() *Answers {
+	select {
+	case <-u.Done():
+		return u.answers
+	default:
+		return nil
+	}
 }
 
 // Stats returns the update's reuse statistics once the refinement has
@@ -182,6 +204,7 @@ func (s *Session) UpdateTiered(ctx context.Context, filename, src string) (*Tier
 		// Written before complete closes Done, read only after Done: the
 		// channel close orders the accesses.
 		u.stats = stats
+		u.answers = st.Answers()
 		u.complete(res, err)
 	}()
 	return u, nil
